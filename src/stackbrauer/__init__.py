@@ -3,9 +3,12 @@ cyclic-cover sector classification.
 
 The pieces, bottom up: Smith normal form and finite abelian groups
 (:mod:`stackbrauer.abelian`), Cartan matrices / centers / ``Br(BG)``
-(:mod:`stackbrauer.rootdata`), admissible cyclic-cover data and inertia
-sectors (:mod:`stackbrauer.covers`), parity laws for sector Brauer classes
-(:mod:`stackbrauer.brauer`), and a CLI (:mod:`stackbrauer.cli`).
+(:mod:`stackbrauer.rootdata`), admissible cyclic-cover data, inertia
+sectors and their parity verdicts (:mod:`stackbrauer.covers`), sector
+Brauer classes and character-twist arithmetic (:mod:`stackbrauer.brauer`),
+and a CLI (:mod:`stackbrauer.cli`).  The imports run
+``abelian -> rootdata`` and ``abelian -> covers -> brauer``, with ``cli`` on
+top; no module imports one above it.
 """
 
 from .abelian import (
@@ -39,7 +42,6 @@ from .covers import (
     decompose_inertia,
     enumerate_admissible,
     is_admissible,
-    is_connected_genus0,
     sector_report,
     total_genus,
 )
@@ -83,7 +85,6 @@ __all__ = [
     "decompose_inertia",
     "enumerate_admissible",
     "is_admissible",
-    "is_connected_genus0",
     "sector_report",
     "total_genus",
     "Center",

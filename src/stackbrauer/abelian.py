@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 
 __all__ = [
     "GroupMismatchError",
@@ -35,7 +34,6 @@ __all__ = [
     "smith_normal_form",
     "cokernel",
     "dual_group",
-    "unimodular_inverse",
     "generated_subgroup",
     "enumerate_subgroups",
     "SUBGROUP_ORDER_BOUND",
@@ -357,42 +355,6 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     )
 
 
-def unimodular_inverse(a: IntegerMatrix) -> IntegerMatrix:
-    """Exact inverse of a unimodular integer matrix.
-
-    Gauss-Jordan over ``fractions.Fraction``; raises ``ValueError`` if the
-    input is singular or the inverse is not integral.
-    """
-    if not a.is_square:
-        raise ValueError("inverse requires a square matrix")
-    n = a.rows
-    work = [[Fraction(x) for x in row] for row in a.row_lists()]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        scale = work[col][col]
-        work[col] = [x / scale for x in work[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                coef = work[r][col]
-                work[r] = [x - coef * y for x, y in zip(work[r], work[col])]
-                inv[r] = [x - coef * y for x, y in zip(inv[r], inv[col])]
-    out: list[list[int]] = []
-    for row in inv:
-        out_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular; inverse is not integral")
-            out_row.append(int(x))
-        out.append(out_row)
-    return IntegerMatrix(out, cols=n)
-
-
 # ---------------------------------------------------------------------------
 # finite abelian groups
 # ---------------------------------------------------------------------------
@@ -541,12 +503,7 @@ class GroupElement:
 
     def element_order(self) -> int:
         """Smallest ``n >= 1`` with ``n * self`` the identity."""
-        n = 1
-        for x, f in zip(self.coords, self.group.invariant_factors):
-            if x:
-                step = f // _gcd(x, f)
-                n = n * step // _gcd(n, step)
-        return n
+        return lcm(*(f // gcd(x, f) for x, f in zip(self.coords, self.group.invariant_factors)))
 
     def to_json(self) -> dict:
         return {"group": self.group.to_json(), "coords": list(self.coords)}
@@ -558,12 +515,6 @@ class GroupElement:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # ---------------------------------------------------------------------------

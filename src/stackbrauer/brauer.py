@@ -20,14 +20,17 @@ representation ``[P(V)/G~] -> B(G~)/twist`` has Brauer class ``chi^{-1}``
 for the central character ``chi`` of ``V``, pushforwards of sums of
 character twists add up accordingly, and the degree-``d`` symmetric power
 of the universal genus-0 conic contributes ``d mod 2``.
+
+The parity verdicts themselves are computed once per datum by
+:func:`stackbrauer.covers.sector_report`, which owns the datum; the functions
+here read them from its ``brauer`` field.  The layering is
+``abelian -> covers -> brauer``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abelian import FiniteAbelianGroup, GroupElement
-from .covers import AdmissibleDatum, is_admissible, total_genus
+from .covers import ORDER_TWO, AdmissibleDatum, BrauerReport, sector_report
 
 __all__ = [
     "BrauerReport",
@@ -40,21 +43,23 @@ __all__ = [
     "ORDER_TWO",
 ]
 
-#: The ambient group of all sector classes.
-ORDER_TWO = FiniteAbelianGroup((2,))
 
-_TRIVIAL = FiniteAbelianGroup(())
+def brauer_report(a: AdmissibleDatum) -> BrauerReport:
+    """The parity data of one admissible genus-0 datum.
 
+    Raises ``ValueError`` for a datum of positive quotient genus or one that
+    is not admissible for its own genus (which must be at least 2).
 
-def _require_classifiable(a: AdmissibleDatum) -> None:
-    if a.quotient_genus != 0:
+    >>> brauer_report(AdmissibleDatum(0, 2, (6,))).d_over_n
+    3
+    """
+    report = sector_report(a).brauer
+    if report is None:
         raise ValueError(
-            f"datum has quotient genus {a.quotient_genus}; the Brauer classification "
-            "applies to genus-0 quotients only"
+            f"datum {a} has no sector Brauer class: the classification applies to "
+            "admissible data of genus >= 2 with genus-0 quotient only"
         )
-    genus = total_genus(a)
-    if genus.denominator != 1 or genus < 2 or not is_admissible(a, int(genus)):
-        raise ValueError(f"datum {a} is not admissible for any genus >= 2")
+    return report
 
 
 def base_brauer_group(a: AdmissibleDatum) -> FiniteAbelianGroup:
@@ -65,10 +70,7 @@ def base_brauer_group(a: AdmissibleDatum) -> FiniteAbelianGroup:
     >>> str(base_brauer_group(AdmissibleDatum(0, 2, (6,))))
     'Z/2'
     """
-    _require_classifiable(a)
-    if all(d % 2 == 0 for d in a.branch_degrees):
-        return FiniteAbelianGroup((2,))
-    return _TRIVIAL
+    return brauer_report(a).h2_group
 
 
 def sector_brauer_class(a: AdmissibleDatum) -> GroupElement:
@@ -82,11 +84,7 @@ def sector_brauer_class(a: AdmissibleDatum) -> GroupElement:
     >>> sector_brauer_class(AdmissibleDatum(0, 2, (6,))).coords
     (1,)
     """
-    group = base_brauer_group(a)
-    if group.is_trivial:
-        return group.identity()
-    d_over_n = a.weighted_degree_sum // a.order
-    return GroupElement(group, (d_over_n % 2,))
+    return brauer_report(a).sector_class
 
 
 def symmetric_power_class(degree: int) -> GroupElement:
@@ -136,36 +134,3 @@ def pushforward_class(chis, exponents) -> GroupElement:
     for chi, e in zip(chis, exponents):
         total = total + e * projective_bundle_class(chi)
     return total
-
-
-@dataclass(frozen=True)
-class BrauerReport:
-    """Brauer verdict for one admissible genus-0 datum."""
-
-    h2_group: FiniteAbelianGroup
-    sector_class: GroupElement
-    d_over_n: int
-    all_degrees_even: bool
-
-    @property
-    def class_nontrivial(self) -> bool:
-        return not self.sector_class.is_identity
-
-    def to_json(self) -> dict:
-        return {
-            "h2": self.h2_group.to_json(),
-            "class_nontrivial": self.class_nontrivial,
-            "d_over_N": self.d_over_n,
-            "all_di_even": self.all_degrees_even,
-        }
-
-
-def brauer_report(a: AdmissibleDatum) -> BrauerReport:
-    """Bundle the parity data for one datum into a report."""
-    group = base_brauer_group(a)
-    return BrauerReport(
-        h2_group=group,
-        sector_class=sector_brauer_class(a),
-        d_over_n=a.weighted_degree_sum // a.order,
-        all_degrees_even=all(d % 2 == 0 for d in a.branch_degrees),
-    )

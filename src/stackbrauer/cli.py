@@ -106,10 +106,6 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _print_matrix(m: IntegerMatrix) -> None:
-    print(str(m))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -123,9 +119,9 @@ def _cmd_snf(args) -> int:
         return 0
     print(f"d = {list(dec.d)}")
     print("U =")
-    _print_matrix(dec.left)
+    print(dec.left)
     print("V =")
-    _print_matrix(dec.right)
+    print(dec.right)
     return 0
 
 
@@ -275,11 +271,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
-        # domain rejections from the library (bad genus bounds etc.)
+        # UsageError, and domain rejections from the library (bad genus bounds etc.)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

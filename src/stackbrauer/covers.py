@@ -21,6 +21,13 @@ trivialized by the datum itself, so the cover is always connected; for
 ``g' = 0`` the Picard group forces order one, so ``k > 1`` means
 disconnected; for ``g' > 0`` with ``k > 1`` the verdict varies over the
 moduli and is reported as undetermined.
+
+An admissible datum with genus-0 quotient also carries the sector parity
+law (see :mod:`stackbrauer.brauer` for the geometry): ``H^2 = Z/2`` exactly
+when every ``d_i`` is even, and the sector class is nontrivial exactly when,
+in addition, ``d/N`` is odd for ``d = sum_i i * d_i``.  This module owns
+every verdict on a datum and computes each once per report; the layering is
+``abelian -> covers -> brauer``.
 """
 
 from __future__ import annotations
@@ -30,16 +37,18 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
+from .abelian import FiniteAbelianGroup, GroupElement
+
 __all__ = [
     "AdmissibleDatum",
     "Admissibility",
     "SectorReport",
+    "BrauerReport",
     "NonIntegralGenusError",
     "total_genus",
     "is_admissible",
     "enumerate_admissible",
     "connectedness_k",
-    "is_connected_genus0",
     "sector_report",
     "decompose_inertia",
     "CONNECTED",
@@ -50,7 +59,11 @@ __all__ = [
     "REASON_GENUS_BELOW_TWO",
     "REASON_STRUCTURAL_EQUATION",
     "REASON_QUOTIENT_GENUS_TOO_LARGE",
+    "ORDER_TWO",
 ]
+
+#: The ambient group of all sector Brauer classes.
+ORDER_TWO = FiniteAbelianGroup((2,))
 
 CONNECTED = "connected"
 DISCONNECTED = "disconnected"
@@ -173,6 +186,28 @@ class Admissibility:
         return self.ok
 
 
+def _verdict(a: AdmissibleDatum, g: int, genus: Fraction) -> Admissibility:
+    """Every failed condition of ``a`` against target genus ``g``, in order.
+
+    ``genus`` is ``total_genus(a)``, passed in so that each caller computes
+    it once.  A target below 2 is itself a reason.  The quotient bound is
+    ``g' <= max(g, 0)``: a negative Riemann-Hurwitz genus already fails as
+    ``genus_below_two`` and is not blamed on a genus-0 quotient too.
+    """
+    reasons: list[str] = []
+    if genus.denominator != 1:
+        reasons.append(REASON_NON_INTEGRAL_GENUS)
+    elif genus != g:
+        reasons.append(REASON_GENUS_MISMATCH)
+    if g < 2:
+        reasons.append(REASON_GENUS_BELOW_TWO)
+    if a.weighted_degree_sum % a.order != 0:
+        reasons.append(REASON_STRUCTURAL_EQUATION)
+    if a.quotient_genus > max(g, 0):
+        reasons.append(REASON_QUOTIENT_GENUS_TOO_LARGE)
+    return Admissibility(not reasons, tuple(reasons), genus)
+
+
 def is_admissible(a: AdmissibleDatum, g: int) -> Admissibility:
     """Check a datum against a target genus ``g >= 2``.
 
@@ -186,17 +221,7 @@ def is_admissible(a: AdmissibleDatum, g: int) -> Admissibility:
     g = int(g)
     if g < 2:
         raise ValueError(f"target genus {g} < 2; only genus >= 2 is classified")
-    reasons: list[str] = []
-    genus = total_genus(a)
-    if genus.denominator != 1:
-        reasons.append(REASON_NON_INTEGRAL_GENUS)
-    elif genus != g:
-        reasons.append(REASON_GENUS_MISMATCH)
-    if a.weighted_degree_sum % a.order != 0:
-        reasons.append(REASON_STRUCTURAL_EQUATION)
-    if a.quotient_genus > g:
-        reasons.append(REASON_QUOTIENT_GENUS_TOO_LARGE)
-    return Admissibility(not reasons, tuple(reasons), genus)
+    return _verdict(a, g, total_genus(a))
 
 
 def enumerate_admissible(g: int, n: int,
@@ -261,20 +286,38 @@ def connectedness_k(a: AdmissibleDatum) -> int:
     return k
 
 
-def is_connected_genus0(a: AdmissibleDatum) -> bool:
-    """Connectedness of the covers for a genus-0 base: ``k == 1``.
+@dataclass(frozen=True)
+class BrauerReport:
+    """Brauer verdict for one admissible genus-0 datum."""
 
-    Over a genus-0 base the relevant line bundle cannot have order above 1,
-    so the gcd criterion is decisive.  Positive quotient genus is rejected
-    here because connectedness then needs the order of a line bundle in a
-    nontrivial Picard group (out of scope); see :func:`sector_report` for
-    the partial verdicts that are still free.
+    h2_group: FiniteAbelianGroup
+    sector_class: GroupElement
+    d_over_n: int
+    all_degrees_even: bool
+
+    @property
+    def class_nontrivial(self) -> bool:
+        return not self.sector_class.is_identity
+
+    def to_json(self) -> dict:
+        return {
+            "h2": self.h2_group.to_json(),
+            "class_nontrivial": self.class_nontrivial,
+            "d_over_N": self.d_over_n,
+            "all_di_even": self.all_degrees_even,
+        }
+
+
+def _parity_report(a: AdmissibleDatum) -> BrauerReport:
+    """The sector parity law for an admissible genus-0 datum.
+
+    The structural congruence makes ``d/N`` an integer.
     """
-    if a.quotient_genus != 0:
-        raise ValueError(
-            f"datum has quotient genus {a.quotient_genus}; this verdict is genus-0 only"
-        )
-    return connectedness_k(a) == 1
+    d_over_n = a.weighted_degree_sum // a.order
+    if all(d % 2 == 0 for d in a.branch_degrees):
+        return BrauerReport(ORDER_TWO, ORDER_TWO.element((d_over_n % 2,)), d_over_n, True)
+    trivial = FiniteAbelianGroup(())
+    return BrauerReport(trivial, trivial.identity(), d_over_n, False)
 
 
 @dataclass(frozen=True)
@@ -293,7 +336,7 @@ class SectorReport:
     reasons: tuple[str, ...]
     gcd_k: int
     connected: str
-    brauer: Optional["BrauerReport"]  # noqa: F821 - imported lazily below
+    brauer: Optional[BrauerReport]
 
     def to_json(self) -> dict:
         out = self.datum.to_json()
@@ -326,26 +369,16 @@ def sector_report(a: AdmissibleDatum, genus: Optional[int] = None) -> SectorRepo
     because no integer target makes sense.  Genus below 2 is reported as an
     inadmissibility reason rather than an exception.
     """
-    from .brauer import brauer_report  # circular at module level by design
-
     genus_fraction = total_genus(a)
     if genus is None:
         if genus_fraction.denominator != 1:
             raise NonIntegralGenusError(a, genus_fraction)
         genus = int(genus_fraction)
+    return _report(a, genus, _verdict(a, genus, genus_fraction))
 
-    if genus < 2:
-        reasons = [REASON_GENUS_BELOW_TWO]
-        if genus_fraction != genus:
-            reasons.insert(0, REASON_GENUS_MISMATCH)
-        if a.weighted_degree_sum % a.order != 0:
-            reasons.append(REASON_STRUCTURAL_EQUATION)
-        verdict = Admissibility(False, tuple(reasons), genus_fraction)
-    else:
-        verdict = is_admissible(a, genus)
 
+def _report(a: AdmissibleDatum, genus: int, verdict: Admissibility) -> SectorReport:
     k = connectedness_k(a)
-    brauer = brauer_report(a) if (verdict.ok and a.quotient_genus == 0) else None
     return SectorReport(
         datum=a,
         total_genus=genus,
@@ -353,7 +386,7 @@ def sector_report(a: AdmissibleDatum, genus: Optional[int] = None) -> SectorRepo
         reasons=verdict.reasons,
         gcd_k=k,
         connected=_connect_verdict(a, k),
-        brauer=brauer,
+        brauer=_parity_report(a) if (verdict.ok and a.quotient_genus == 0) else None,
     )
 
 
@@ -363,4 +396,7 @@ def decompose_inertia(g: int, n: int) -> list[SectorReport]:
     Same deterministic order as :func:`enumerate_admissible`.  The listing
     may legitimately be empty (no sector for that ``(g, N)``).
     """
-    return [sector_report(a, genus=g) for a in enumerate_admissible(g, n)]
+    data = enumerate_admissible(g, n)
+    # every datum listed passed is_admissible against g: one verdict serves all
+    verdict = Admissibility(True, (), Fraction(int(g)))
+    return [_report(a, g, verdict) for a in data]

@@ -35,7 +35,6 @@ from .abelian import (
     dual_group,
     generated_subgroup,
     smith_normal_form,
-    unimodular_inverse,
 )
 
 __all__ = [
@@ -169,8 +168,9 @@ class Center:
 
     User input (generators of central subgroups) is in per-factor
     coordinates; everything downstream uses the canonical group.  The two
-    are related by the unimodular row transform from the Smith normal form
-    of ``diag(moduli)``.
+    are related by the unimodular row transform ``U`` from the Smith normal
+    form ``U diag(moduli) V = diag(d)``, whose inverse is
+    ``diag(moduli) V diag(d)^-1``.
     """
 
     factors: tuple[SimpleType, ...]
@@ -220,12 +220,15 @@ def center(factors) -> Center:
     dec = smith_normal_form(IntegerMatrix.diagonal(moduli))
     keep = tuple(i for i, x in enumerate(dec.d) if x > 1)
     group = FiniteAbelianGroup(tuple(dec.d[i] for i in keep))
+    # U^-1 = diag(moduli) V diag(d)^-1 is integral, so each division is exact
+    backward = [[m * v // x for v, x in zip(row, dec.d)]
+                for m, row in zip(moduli, dec.right.row_lists())]
     return Center(
         factors=factors,
         moduli=tuple(moduli),
         group=group,
         _forward=dec.left,
-        _backward=unimodular_inverse(dec.left),
+        _backward=IntegerMatrix(backward, cols=len(moduli)),
         _keep=keep,
     )
 

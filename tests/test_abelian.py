@@ -21,7 +21,6 @@ from stackbrauer.abelian import (
     enumerate_subgroups,
     generated_subgroup,
     smith_normal_form,
-    unimodular_inverse,
 )
 
 RNG_SEED = 987123
@@ -194,16 +193,6 @@ class TestIntegerMatrix:
         big = 10 ** 30
         m = IntegerMatrix([[big, 1], [1, big]])
         assert m.det() == big * big - 1
-
-    def test_unimodular_inverse(self):
-        rng = random.Random(RNG_SEED)
-        for n in range(1, 6):
-            u = random_unimodular(rng, n)
-            assert (u @ unimodular_inverse(u)) == IntegerMatrix.identity(n)
-
-    def test_unimodular_inverse_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
-            unimodular_inverse(IntegerMatrix([[2, 0], [0, 1]]))
 
 
 # ---------------------------------------------------------------------------

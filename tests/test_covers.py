@@ -13,6 +13,7 @@ from math import gcd
 
 import pytest
 
+import stackbrauer.covers as covers
 from stackbrauer.covers import (
     CONNECTED,
     DISCONNECTED,
@@ -28,14 +29,13 @@ from stackbrauer.covers import (
     decompose_inertia,
     enumerate_admissible,
     is_admissible,
-    is_connected_genus0,
     sector_report,
     total_genus,
 )
 
 
-def oracle_enumerate(g: int, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Brute-force admissible data by scanning a bounding box of branch vectors."""
+def oracle_solutions(g: int, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Brute-force Riemann-Hurwitz solutions by scanning a bounding box of branch vectors."""
     weights = [n - gcd(i, n) for i in range(1, n)]
     out = []
     gq = 0
@@ -45,13 +45,29 @@ def oracle_enumerate(g: int, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
             genus = 1 + Fraction(
                 n * (2 * gq - 2) + sum(d * w for d, w in zip(degs, weights)), 2
             )
-            if genus != g:
-                continue
-            if sum(i * d for i, d in enumerate(degs, start=1)) % n:
-                continue
-            out.append((gq, n, degs))
+            if genus == g:
+                out.append((gq, n, degs))
         gq += 1
     return sorted(out)
+
+
+def oracle_enumerate(g: int, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The Riemann-Hurwitz solutions that also satisfy the structural congruence."""
+    return [(gq, m, degs) for gq, m, degs in oracle_solutions(g, n)
+            if sum(i * d for i, d in enumerate(degs, start=1)) % n == 0]
+
+
+def count_calls(monkeypatch, name: str) -> list[int]:
+    """Wrap ``stackbrauer.covers.<name>`` so each call bumps the returned counter."""
+    counted = [0]
+    original = getattr(covers, name)
+
+    def counting(*args, **kwargs):
+        counted[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(covers, name, counting)
+    return counted
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +229,8 @@ class TestConnectedness:
         assert connectedness_k(AdmissibleDatum(0, 5, (1, 0, 0, 3))) == 1
 
     def test_genus0_verdict(self):
-        assert is_connected_genus0(AdmissibleDatum(0, 2, (6,)))
-        assert not is_connected_genus0(AdmissibleDatum(0, 4, (0, 6, 0)))
-
-    def test_genus0_verdict_rejects_positive_quotient_genus(self):
-        with pytest.raises(ValueError):
-            is_connected_genus0(AdmissibleDatum(1, 2, (2,)))
+        assert sector_report(AdmissibleDatum(0, 2, (6,))).connected == CONNECTED
+        assert sector_report(AdmissibleDatum(0, 4, (0, 6, 0))).connected == DISCONNECTED
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +282,21 @@ class TestSectorReport:
         assert r.reasons == (REASON_GENUS_BELOW_TWO,)
         assert r.total_genus == 1
 
+    def test_genus_below_two_reports_every_failed_condition(self):
+        half = sector_report(AdmissibleDatum(0, 2, (5,)), genus=1)
+        assert half.reasons == (
+            REASON_NON_INTEGRAL_GENUS, REASON_GENUS_BELOW_TWO, REASON_STRUCTURAL_EQUATION,
+        )
+        big_quotient = sector_report(AdmissibleDatum(3, 2, (0,)), genus=1)
+        assert big_quotient.reasons == (
+            REASON_GENUS_MISMATCH, REASON_GENUS_BELOW_TWO, REASON_QUOTIENT_GENUS_TOO_LARGE,
+        )
+
+    def test_verdict_computed_once(self, monkeypatch):
+        counted = count_calls(monkeypatch, "total_genus")
+        sector_report(AdmissibleDatum(0, 2, (6,)))
+        assert counted == [1]
+
     def test_json_shape(self):
         out = sector_report(AdmissibleDatum(0, 2, (6,))).to_json()
         assert set(out) == {
@@ -299,6 +326,13 @@ class TestDecomposeInertia:
     def test_order_matches_enumeration(self):
         data = [r.datum for r in decompose_inertia(3, 4)]
         assert data == enumerate_admissible(3, 4)
+
+    def test_verdict_computed_once_per_riemann_hurwitz_solution(self, monkeypatch):
+        counted = count_calls(monkeypatch, "total_genus")
+        for g, n in [(2, 2), (3, 4), (5, 3), (6, 6), (4, 7)]:
+            counted[0] = 0
+            decompose_inertia(g, n)
+            assert counted == [len(oracle_solutions(g, n))], (g, n)
 
 
 def test_docstring_examples():

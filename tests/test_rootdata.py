@@ -165,7 +165,8 @@ class TestCenter:
             center(["A1"])
 
     def test_per_factor_round_trip_on_all_elements(self):
-        specs = [["A3"], ["D4"], ["A1", "A3"], ["A2", "A2"], ["D5", "A1"]]
+        specs = [["A3"], ["D4"], ["A1", "A3"], ["A2", "A2"], ["D5", "A1"],
+                 ["A1", "A2", "A5"], ["A1", "A1", "A2", "A3"]]
         for names in specs:
             c = center([SimpleType.parse(n) for n in names])
             for x in c.group.elements():
