@@ -8,8 +8,9 @@ floating point, no fixed-width overflow.  The two central tools are
   dividing the next, and
 
 * finite abelian groups in invariant-factor form ``Z/f1 x ... x Z/fk``
-  with ``f1 | f2 | ... | fk`` and every ``fi >= 2``, together with element
-  arithmetic, duals, and subgroup enumeration.
+  with ``f1 | f2 | ... | fk`` and every ``fi >= 2``, with element
+  arithmetic and duals; a subgroup is a lattice between ``diag(f) Z^k``
+  and ``Z^k``, keyed by its Hermite normal form rather than its elements.
 
 Duality note: for a finite diagonalizable group scheme, the character group
 of the Cartier dual has the same invariant factors, so duals are modeled
@@ -21,7 +22,8 @@ about small characteristic must track that hypothesis themselves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, lcm, prod
 
 __all__ = [
@@ -105,15 +107,6 @@ class IntegerMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 
-    @classmethod
-    def from_columns(cls, columns, rows: int) -> "IntegerMatrix":
-        """Build a matrix with the given height from a list of columns."""
-        columns = [list(c) for c in columns]
-        for c in columns:
-            if len(c) != rows:
-                raise ValueError("column of wrong height")
-        return cls([[c[i] for c in columns] for i in range(rows)], cols=len(columns))
-
     # -- access ----------------------------------------------------------
 
     def __getitem__(self, key) -> int:
@@ -125,9 +118,6 @@ class IntegerMatrix:
     def row_lists(self) -> list[list[int]]:
         c = self.cols
         return [list(self._entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def column(self, j: int) -> list[int]:
-        return [self[i, j] for i in range(self.rows)]
 
     @property
     def is_square(self) -> bool:
@@ -545,53 +535,84 @@ def cokernel(a: IntegerMatrix) -> tuple[FiniteAbelianGroup, int]:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of a finite abelian group, canonicalized by element set.
+    """The subgroup ``L / diag(f) Z^n`` of ``ambient = Z/f1 x ... x Z/fn``.
 
-    ``elements`` is the full sorted element list (sorted by coordinate
-    tuples), which is the identity of record: two subgroups are the same
-    subgroup exactly when these lists agree.  ``structure`` is the abstract
-    isomorphism type, computed from a relation matrix.
+    ``hnf`` is the upper-triangular row Hermite normal form ``H`` of the
+    lattice ``diag(f) Z^n <= L <= Z^n``: each pivot ``h_ii`` divides ``f_i``
+    and each entry above a pivot ``h_jj`` lies in ``[0, h_jj)``.  ``H`` is
+    unique, so subgroups are equal exactly when ambient and ``hnf`` agree,
+    whatever their ``generators``.  ``structure`` is the cokernel of
+    ``diag(f) H^-1``.  ``elements``, sorted by coordinates, is built lazily.
     """
 
     ambient: FiniteAbelianGroup
-    generators: tuple[GroupElement, ...]
-    structure: FiniteAbelianGroup
-    elements: tuple[GroupElement, ...]
+    generators: tuple[GroupElement, ...] = field(compare=False)
+    structure: FiniteAbelianGroup = field(compare=False)
+    hnf: tuple[tuple[int, ...], ...]
 
     def order(self) -> int:
-        return len(self.elements)
+        facs = self.ambient.invariant_factors
+        return prod(f // row[i] for i, (row, f) in enumerate(zip(self.hnf, facs)))
 
     def __contains__(self, x: GroupElement) -> bool:
-        return x in self.elements
+        """Triangular reduction of ``x`` by the rows of ``hnf``."""
+        if not isinstance(x, GroupElement) or x.group != self.ambient:
+            return False
+        v = list(x.coords)
+        for i, row in enumerate(self.hnf):
+            q, r = divmod(v[i], row[i])
+            if r:
+                return False
+            v = [a - q * b for a, b in zip(v, row)]
+        return True
+
+    @cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        """Every ``sum c_i H_i mod f`` with ``0 <= c_i < f_i / h_ii``."""
+        facs = self.ambient.invariant_factors
+        coords = [(0,) * len(facs)]
+        for i, row in enumerate(self.hnf):
+            if row[i] < facs[i]:
+                coords = [tuple([(a + k * b) % f for a, b, f in zip(c, row, facs)])
+                          for c in coords for k in range(facs[i] // row[i])]
+        return tuple(GroupElement(self.ambient, c) for c in sorted(coords))
 
 
-def _closure(group: FiniteAbelianGroup, generators) -> list[tuple[int, ...]]:
-    """All coordinate tuples of the subgroup generated by ``generators``."""
-    facs = group.invariant_factors
-    zero = (0,) * len(facs)
-    gens = [g.coords for g in generators]
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in gens:
-                t = tuple((a + b) % f for a, b, f in zip(s, g, facs))
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return sorted(seen)
+def _cofactor_row(facs: tuple[int, ...], rows) -> list[int] | None:
+    """Row ``i`` of ``diag(f) H^-1`` from ``rows = H[i:]`` by forward substitution
+    on ``x H = f_i e_i``; ``None`` unless ``f_i e_i`` lies in the span of ``rows``."""
+    n = len(facs)
+    i = n - len(rows)
+    x = [0] * n
+    for j in range(i, n):
+        rest = facs[i] if j == i else -sum(x[k] * rows[k - i][j] for k in range(i, j))
+        x[j], r = divmod(rest, rows[j - i][j])
+        if r:
+            return None
+    return x
+
+
+def _structure(cofactors, memo: dict) -> FiniteAbelianGroup:
+    """Cokernel of ``X = diag(f) H^-1``, cached in ``memo``.  A unit pivot
+    ``x_ii = 1`` means ``h_ii = f_i``, so row ``i`` of ``H`` is ``f_i e_i``,
+    row ``i`` of ``X`` is ``e_i`` and both its row and column are dropped."""
+    keep = [i for i, row in enumerate(cofactors) if row[i] != 1]
+    rest = tuple(tuple(cofactors[k][j] for j in keep) for k in keep)
+    if rest not in memo:
+        memo[rest] = cokernel(IntegerMatrix(rest, cols=len(keep)))[0]
+    return memo[rest]
 
 
 def generated_subgroup(group: FiniteAbelianGroup, generators) -> Subgroup:
     """Subgroup of ``group`` generated by the given elements.
 
-    The abstract structure comes from a relation matrix: with generators
-    ``v1..vk`` in ``Z^n / diag(f)``, the kernel of ``Z^k -> group`` is the
-    projection to the first ``k`` coordinates of the integer kernel of the
-    block matrix ``[V | diag(f)]``, and the subgroup is the cokernel of that
-    kernel lattice.  Both steps are Smith normal form computations.
+    Row Euclid brings ``[diag(f); generators]`` to Hermite normal form one
+    generator at a time; entries right of the column being cleared stay
+    reduced modulo ``f``, as ``diag(f) Z^n`` lies in the lattice.
+
+    >>> g = FiniteAbelianGroup((2, 4))
+    >>> generated_subgroup(g, [g.element([1, 2])]).hnf
+    ((1, 2), (0, 4))
     """
     generators = tuple(generators)
     for g in generators:
@@ -600,35 +621,34 @@ def generated_subgroup(group: FiniteAbelianGroup, generators) -> Subgroup:
         if g.group != group:
             raise GroupMismatchError("generator does not belong to the ambient group")
 
-    elements = tuple(GroupElement(group, c) for c in _closure(group, generators))
-    if not generators:
-        return Subgroup(group, (), FiniteAbelianGroup(()), elements)
-
     facs = group.invariant_factors
-    n, k = len(facs), len(generators)
-    block = [[generators[j].coords[i] for j in range(k)]
-             + [facs[i] if i == jj else 0 for jj in range(n)]
-             for i in range(n)]
-    dec = smith_normal_form(IntegerMatrix(block, cols=k + n))
-    kernel_cols = [j for j in range(k + n) if j >= len(dec.d) or dec.d[j] == 0]
-    relations = IntegerMatrix.from_columns(
-        [[dec.right[i, j] for i in range(k)] for j in kernel_cols], rows=k
-    )
-    structure, free_rank = cokernel(relations)
-    if free_rank != 0:
-        raise RuntimeError("subgroup of a finite group reported infinite structure")
-    return Subgroup(group, generators, structure, elements)
+    n = len(facs)
+    basis = [[f if j == i else 0 for j in range(n)] for i, f in enumerate(facs)]
+    for g in generators:
+        v = list(g.coords)
+        for i in range(n):
+            while v[i]:
+                q = basis[i][i] // v[i]
+                basis[i], v = v, [(a - q * b) % f for a, b, f in zip(basis[i], v, facs)]
+    for j in range(n):
+        for i in range(j):
+            q = basis[i][j] // basis[j][j]
+            basis[i] = [a - q * b for a, b in zip(basis[i], basis[j])]
+    hnf = tuple(tuple(row) for row in basis)
+    cofactors = [_cofactor_row(facs, hnf[i:]) for i in range(n)]
+    return Subgroup(group, generators, _structure(cofactors, {}), hnf)
 
 
 def enumerate_subgroups(group: FiniteAbelianGroup,
                         max_order: int = SUBGROUP_ORDER_BOUND) -> list[Subgroup]:
     """All subgroups of ``group``, each listed exactly once.
 
-    Join-closure search: starting from the trivial subgroup, repeatedly
-    extend by a cyclic subgroup (the set of pairwise sums of two subgroups
-    is already a subgroup, so joins need no extra closure pass).  Candidates
-    are deduplicated by their sorted element sets.  The result is sorted by
-    (order, element list), so it is deterministic.
+    Each is one Hermite normal form ``H`` (see :class:`Subgroup`), built from
+    the bottom row up: row ``i`` takes every pivot ``h | f_i`` and every tail
+    reduced modulo the pivots below, and is kept when row ``i`` of
+    ``diag(f) H^-1`` is integral.  Distinct forms are distinct subgroups.
+    The generators are the rows of ``H`` nonzero modulo ``f``; the result is
+    sorted by ``(order, hnf)``.
 
     >>> [s.order() for s in enumerate_subgroups(FiniteAbelianGroup((4,)))]
     [1, 2, 4]
@@ -638,53 +658,23 @@ def enumerate_subgroups(group: FiniteAbelianGroup,
         raise ValueError(f"group order {order} exceeds subgroup enumeration bound {max_order}")
 
     facs = group.invariant_factors
-    zero = (0,) * len(facs)
-    all_coords = list(itertools.product(*(range(f) for f in facs)))
+    # (H[i:], rows i.. of diag(f) H^-1) for every subgroup of Z/f_i x ... x Z/f_n
+    blocks = [((), ())]
+    for i in reversed(range(len(facs))):
+        pivots = [h for h in range(1, facs[i] + 1) if facs[i] % h == 0]
+        grown = []
+        for rows, cofactors in blocks:
+            for tail in itertools.product(*(range(row[j]) for j, row in enumerate(rows, i + 1))):
+                for h in pivots:
+                    block = ((0,) * i + (h,) + tail,) + rows
+                    x = _cofactor_row(facs, block)
+                    if x is not None:
+                        grown.append((block, (x,) + cofactors))
+        blocks = grown
 
-    # distinct cyclic subgroups, keyed by element set, with a generator each
-    cyclic: dict[frozenset, tuple[int, ...]] = {}
-    for c in all_coords:
-        if c == zero:
-            continue
-        mults = {zero}
-        cur = c
-        while cur != zero:
-            mults.add(cur)
-            cur = tuple((a + b) % f for a, b, f in zip(cur, c, facs))
-        key = frozenset(mults)
-        if key not in cyclic:
-            cyclic[key] = c
-
-    trivial_key = frozenset({zero})
-    full_key = frozenset(all_coords)
-    found: dict[frozenset, tuple[tuple[int, ...], ...]] = {trivial_key: ()}
-    frontier = [trivial_key]
-    while frontier:
-        nxt = []
-        for key in frontier:
-            gens = found[key]
-            members = key
-            for ckey, cgen in cyclic.items():
-                if cgen in members:
-                    continue
-                # |S + C| = |S| |C| / |S n C|; when that already fills the
-                # group there is nothing to sum elementwise
-                join_order = len(members) * len(ckey) // len(members & ckey)
-                if join_order == order:
-                    join = full_key
-                else:
-                    join = frozenset(
-                        tuple((a + b) % f for a, b, f in zip(s, t, facs))
-                        for s in members for t in ckey
-                    )
-                if join not in found:
-                    found[join] = gens + (cgen,)
-                    nxt.append(join)
-        frontier = nxt
-
-    subgroups = [
-        generated_subgroup(group, tuple(GroupElement(group, g) for g in gens))
-        for gens in found.values()
-    ]
-    subgroups.sort(key=lambda s: (s.order(), tuple(e.coords for e in s.elements)))
+    memo: dict = {}
+    subgroups = [Subgroup(group, tuple(GroupElement(group, row) for i, row in enumerate(hnf)
+                                       if row[i] < facs[i]), _structure(cofactors, memo), hnf)
+                 for hnf, cofactors in blocks]
+    subgroups.sort(key=lambda s: (s.order(), s.hnf))
     return subgroups

@@ -267,7 +267,9 @@ def enumerate_admissible(g: int, n: int,
             budget = 2 * g - 2 - n * (2 * gq - 2)
             for degs in branch_tuples(budget):
                 candidate = AdmissibleDatum(gq, n, degs)
-                if is_admissible(candidate, g):
+                # the budget fixes the genus at g and keeps g' <= g, so only
+                # the structural congruence can fail
+                if candidate.weighted_degree_sum % n == 0:
                     found.append(candidate)
         gq += 1
     return found
@@ -397,6 +399,6 @@ def decompose_inertia(g: int, n: int) -> list[SectorReport]:
     may legitimately be empty (no sector for that ``(g, N)``).
     """
     data = enumerate_admissible(g, n)
-    # every datum listed passed is_admissible against g: one verdict serves all
+    # every datum listed is admissible for g: one verdict serves all
     verdict = Admissibility(True, (), Fraction(int(g)))
     return [_report(a, g, verdict) for a in data]

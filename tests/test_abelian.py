@@ -3,13 +3,19 @@
 The subgroup-count oracle is deliberately independent of the shipped
 enumerator: it counts subgroups of abelian p-groups by isomorphism type via
 the classical Gaussian-binomial formula and multiplies over primes, while
-the library does a join-closure search plus relation-matrix SNF.
+the library builds Hermite normal forms of subgroup lattices.  Likewise the
+property test below checks generated subgroups against a breadth-first
+closure and element-order counts written here.
 """
 
 import itertools
 import random
+from collections import Counter
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackbrauer.abelian import (
     FiniteAbelianGroup,
@@ -465,6 +471,55 @@ class TestSubgroups:
         ]
         orders = [s.order() for s in a]
         assert orders == sorted(orders)
+
+
+def closure(facs, gens) -> list[tuple[int, ...]]:
+    """Coordinate tuples reached from zero by adding generators, sorted."""
+    zero = (0,) * len(facs)
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for g in gens:
+                t = tuple((a + b) % f for a, b, f in zip(s, g, facs))
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return sorted(seen)
+
+
+def order_counts(facs, coords) -> Counter:
+    """How many of the given elements have each element order; two finite
+    abelian groups are isomorphic exactly when these counts agree."""
+    return Counter(lcm(*(f // gcd(a, f) for a, f in zip(x, facs))) for x in coords)
+
+
+@st.composite
+def groups_with_generators(draw):
+    facs = draw(st.sampled_from(all_invariant_chains(64)))
+    coords = st.tuples(*(st.integers(0, f - 1) for f in facs))
+    return FiniteAbelianGroup(facs), draw(st.lists(coords, max_size=3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(groups_with_generators())
+def test_generated_subgroup_round_trips(case):
+    group, gens = case
+    s = generated_subgroup(group, [group.element(g) for g in gens])
+    members = closure(group.invariant_factors, gens)
+    assert [e.coords for e in s.elements] == members
+    assert s.order() == s.structure.order() == len(members)
+    structure = s.structure.invariant_factors
+    assert order_counts(structure, itertools.product(*map(range, structure))) == order_counts(
+        group.invariant_factors, members)
+    inside = set(members)
+    assert all((x in s) == (x.coords in inside) for x in group.elements())
+    assert generated_subgroup(group, s.generators).hnf == s.hnf
+    [listed] = [t for t in enumerate_subgroups(group) if t == s]
+    assert listed.structure == s.structure
+    other = FiniteAbelianGroup((2 * group.exponent(),))
+    assert other.identity() not in s
 
 
 def test_docstring_examples():

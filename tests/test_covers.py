@@ -327,12 +327,12 @@ class TestDecomposeInertia:
         data = [r.datum for r in decompose_inertia(3, 4)]
         assert data == enumerate_admissible(3, 4)
 
-    def test_verdict_computed_once_per_riemann_hurwitz_solution(self, monkeypatch):
+    def test_no_genus_computed_per_riemann_hurwitz_solution(self, monkeypatch):
+        # the budget recursion fixes the genus, so only the congruence is tested
         counted = count_calls(monkeypatch, "total_genus")
         for g, n in [(2, 2), (3, 4), (5, 3), (6, 6), (4, 7)]:
-            counted[0] = 0
             decompose_inertia(g, n)
-            assert counted == [len(oracle_solutions(g, n))], (g, n)
+        assert counted == [0]
 
 
 def test_docstring_examples():

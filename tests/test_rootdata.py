@@ -268,6 +268,16 @@ class TestBrauerGroupOfBG:
                 assert fundamental_group(spec) == sub.structure, (names, gens)
                 assert brauer_group_of_bg(spec) == dual_group(sub.structure), (names, gens)
 
+    @pytest.mark.parametrize("name, k, factors", [
+        ("A1", 20, (2,) * 20),
+        ("D4", 10, (2, 2) * 10),
+        ("A2", 12, (3,) * 12),
+    ], ids=["A1^20", "D4^10", "A2^12"])
+    def test_adjoint_powers_with_large_kernels(self, name, k, factors):
+        # |B| is 2^20 or 3^12: the kernel is a lattice, its elements are never listed
+        spec = SemisimpleGroupSpec.adjoint([SimpleType.parse(name)] * k)
+        assert brauer_group_of_bg(spec) == FiniteAbelianGroup(factors)
+
     def test_adjoint_brauer_group_is_dual_of_center(self):
         for name, factors in CENTER_TABLE:
             spec = SemisimpleGroupSpec.adjoint([SimpleType.parse(name)])
