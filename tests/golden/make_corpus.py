@@ -18,9 +18,11 @@ import contextlib
 import io
 import itertools
 import json
+import random
 from pathlib import Path
 
 from stackbrauer.cli import main
+from stackbrauer.rootdata import SimpleType, cartan_matrix
 
 CORPUS = Path(__file__).with_name("cli.json")
 
@@ -74,6 +76,30 @@ USAGE_ERRORS = [
 ]
 
 
+def _literal(rows) -> str:
+    return ";".join(",".join(str(x) for x in row) for row in rows)
+
+
+def snf_matrices() -> list[str]:
+    """Seeded matrix literals whose ``snf --json`` output pins ``d``, ``U`` and ``V``:
+    squares of size 1-12, both rectangular shapes, rank-deficient squares,
+    a zero row, ``diag(4, 6)`` and three Cartan matrices."""
+    rng = random.Random(20261018)
+
+    def rand(rows, cols):
+        return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+
+    def low_rank(n, r):
+        b, c = rand(n, r), rand(r, n)
+        return [[sum(b[i][k] * c[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+
+    mats = [rand(n, n) for n in range(1, 13)]
+    mats += [rand(3, 7), rand(7, 3), low_rank(4, 2), low_rank(5, 3), low_rank(6, 1)]
+    mats += [[[3, -6, 9], [0, 0, 0], [-4, 10, 2]], [[4, 0], [0, 6]]]
+    mats += [cartan_matrix(SimpleType.parse(name)).row_lists() for name in ("A5", "D6", "E7")]
+    return [_literal(m) for m in mats]
+
+
 def argvs() -> list[list[str]]:
     out: list[list[str]] = []
     for cmd in ("inertia", "enumerate"):
@@ -88,7 +114,9 @@ def argvs() -> list[list[str]]:
     for mode in ("full", "trivial"):
         for names in CATALOG:
             out.append(["br-bg", "--type", ",".join(names), "--center", mode, "--json"])
-    return out + README + USAGE_ERRORS
+    out += README + USAGE_ERRORS
+    # "--" lets a literal with a leading minus through argparse
+    return out + [["snf", "--json", "--", m] for m in snf_matrices()]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
