@@ -220,43 +220,6 @@ class SmithDecomposition:
         )
 
 
-def _swap_rows(m: list[list[int]], u: list[list[int]], a: int, b: int) -> None:
-    if a != b:
-        m[a], m[b] = m[b], m[a]
-        u[a], u[b] = u[b], u[a]
-
-
-def _swap_cols(m: list[list[int]], v: list[list[int]], a: int, b: int) -> None:
-    if a != b:
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-        for row in v:
-            row[a], row[b] = row[b], row[a]
-
-
-def _add_row(m: list[list[int]], u: list[list[int]], dst: int, src: int, coef: int) -> None:
-    """row[dst] += coef * row[src], mirrored on the row transform."""
-    md, ms = m[dst], m[src]
-    for j in range(len(md)):
-        md[j] += coef * ms[j]
-    ud, us = u[dst], u[src]
-    for j in range(len(ud)):
-        ud[j] += coef * us[j]
-
-
-def _add_col(m: list[list[int]], v: list[list[int]], dst: int, src: int, coef: int) -> None:
-    """col[dst] += coef * col[src], mirrored on the column transform."""
-    for row in m:
-        row[dst] += coef * row[src]
-    for row in v:
-        row[dst] += coef * row[src]
-
-
-def _negate_row(m: list[list[int]], u: list[list[int]], i: int) -> None:
-    m[i] = [-x for x in m[i]]
-    u[i] = [-x for x in u[i]]
-
-
 def _find_pivot(m: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] | None:
     """Nonzero entry of smallest absolute value in the trailing submatrix."""
     best = None
@@ -276,72 +239,84 @@ def _find_pivot(m: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, 
 def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     """Smith normal form with explicit unimodular transforms.
 
+    The work happens on one bordered list: its first ``rows`` rows are
+    ``[A | I_rows]`` and below them sit the ``cols`` rows of ``I_cols``.
+    Row operations touch only the first ``rows`` rows and column operations
+    only the first ``cols`` columns, so the steps that diagonalize ``A``
+    build ``U`` to its right and ``V`` below it.
+
     Pivots are chosen as the smallest-in-absolute-value nonzero entry of the
     trailing submatrix, which keeps intermediate entries small in practice.
     Row and column Euclidean steps clear the pivot cross; whenever the pivot
     fails to divide some remaining entry, that entry's row is folded into
     the pivot row and clearing resumes, which is what forces the divisibility
-    chain ``d[i] | d[i+1]``.
+    chain ``d[i] | d[i+1]``.  A unit pivot divides every entry, so it skips
+    that scan.
 
     >>> smith_normal_form(IntegerMatrix([[2, -1], [-1, 2]])).d
     (1, 3)
     """
     rows, cols = a.rows, a.cols
-    m = a.row_lists()
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    w = [row + [int(i == j) for j in range(rows)] for i, row in enumerate(a.row_lists())]
+    w += [[int(i == j) for j in range(cols)] for i in range(cols)]
     limit = min(rows, cols)
 
     for t in range(limit):
         while True:
-            pivot = _find_pivot(m, t, rows, cols)
+            pivot = _find_pivot(w, t, rows, cols)
             if pivot is None:
                 break
-            _swap_rows(m, u, t, pivot[0])
-            _swap_cols(m, v, t, pivot[1])
-            p = m[t][t]
+            pi, pj = pivot
+            w[t], w[pi] = w[pi], w[t]
+            if pj != t:
+                for row in w:
+                    row[t], row[pj] = row[pj], row[t]
+            top = w[t]
+            p = top[t]
             # One Euclidean sweep of the pivot cross.  Any nonzero remainder
             # is a strictly smaller pivot candidate, so loop back and re-pick
             # rather than keep grinding with a stale pivot; re-picking every
             # sweep is what keeps intermediate entries from exploding.
             clean = True
             for i in range(rows):
-                if i == t or m[i][t] == 0:
+                if i == t or w[i][t] == 0:
                     continue
-                _add_row(m, u, i, t, -(m[i][t] // p))
-                if m[i][t] != 0:
+                q = w[i][t] // p
+                w[i] = [x - q * y for x, y in zip(w[i], top)]
+                if w[i][t] != 0:
                     clean = False
             if not clean:
                 continue
             for j in range(cols):
-                if j == t or m[t][j] == 0:
+                if j == t or top[j] == 0:
                     continue
-                _add_col(m, v, j, t, -(m[t][j] // p))
-                if m[t][j] != 0:
+                q = top[j] // p
+                for row in w:
+                    row[j] -= q * row[t]
+                if top[j] != 0:
                     clean = False
             if not clean:
                 continue
-            # Pivot cross is clear.  Force the divisibility chain: folding an
-            # offending row into row t plants an entry the pivot fails to
-            # divide, so the next sweep strictly shrinks the pivot.
-            offender = None
-            for i in range(t + 1, rows):
-                row = m[i]
-                if any(row[j] % p for j in range(t + 1, cols)):
-                    offender = i
-                    break
+            # Pivot cross is clear.  A unit pivot divides every entry left;
+            # otherwise force the divisibility chain: folding an offending
+            # row into row t plants an entry the pivot fails to divide, so
+            # the next sweep strictly shrinks the pivot.
+            if abs(p) == 1:
+                break
+            offender = next((i for i in range(t + 1, rows)
+                             if any(w[i][j] % p for j in range(t + 1, cols))), None)
             if offender is None:
                 break
-            _add_row(m, u, t, offender, 1)
+            w[t] = [x + y for x, y in zip(top, w[offender])]
 
     for i in range(limit):
-        if m[i][i] < 0:
-            _negate_row(m, u, i)
+        if w[i][i] < 0:
+            w[i] = [-x for x in w[i]]
 
     return SmithDecomposition(
-        d=tuple(m[i][i] for i in range(limit)),
-        left=IntegerMatrix(u, cols=rows),
-        right=IntegerMatrix(v, cols=cols),
+        d=tuple(w[i][i] for i in range(limit)),
+        left=IntegerMatrix([row[cols:] for row in w[:rows]], cols=rows),
+        right=IntegerMatrix(w[rows:], cols=cols),
     )
 
 

@@ -289,7 +289,10 @@ class SemisimpleGroupSpec:
     def adjoint(cls, factors) -> "SemisimpleGroupSpec":
         """Quotient by the full center."""
         spec = cls(tuple(factors), ())
-        return cls(spec.factors, spec.center.full_generators())
+        # set on this spec so the center it already computed is the only one:
+        # the full generators fit that center by construction
+        object.__setattr__(spec, "central_generators", spec.center.full_generators())
+        return spec
 
     @classmethod
     def from_json(cls, data) -> "SemisimpleGroupSpec":

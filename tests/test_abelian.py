@@ -5,13 +5,14 @@ enumerator: it counts subgroups of abelian p-groups by isomorphism type via
 the classical Gaussian-binomial formula and multiplies over primes, while
 the library builds Hermite normal forms of subgroup lattices.  Likewise the
 property test below checks generated subgroups against a breadth-first
-closure and element-order counts written here.
+closure and element-order counts written here, and Smith normal forms
+against determinantal divisors computed by permutation expansion.
 """
 
 import itertools
 import random
 from collections import Counter
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -258,6 +259,43 @@ class TestSmithNormalForm:
         for _ in range(50):
             m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
             assert smith_normal_form(m).d == smith_normal_form(m.transpose()).d
+
+
+def leibniz_det(m: list[list[int]]) -> int:
+    """Determinant as the signed sum over all permutations."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def determinantal_divisor(m: list[list[int]], k: int) -> int:
+    """gcd of all k x k minors of ``m``."""
+    return gcd(*(
+        leibniz_det([[m[i][j] for j in cs] for i in rs])
+        for rs in itertools.combinations(range(len(m)), k)
+        for cs in itertools.combinations(range(len(m[0])), k)
+    ))
+
+
+small_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-9, 9), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0],
+    )
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_matrices)
+def test_snf_matches_determinantal_divisors(rows):
+    a = IntegerMatrix(rows)
+    assert_valid_snf(a)
+    d = smith_normal_form(a).d
+    for k in range(1, len(d) + 1):
+        assert prod(d[:k]) == determinantal_divisor(rows, k), k
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import stackbrauer.rootdata as rootdata
 from stackbrauer.abelian import (
     FiniteAbelianGroup,
     dual_group,
@@ -221,6 +222,23 @@ class TestSemisimpleGroupSpec:
     def test_generator_arity_validated(self):
         with pytest.raises(ValueError):
             SemisimpleGroupSpec((SimpleType("A", 3),), ((1, 0),))
+
+    def test_center_computed_once(self, monkeypatch):
+        counted = [0]
+        original = rootdata.center
+
+        def counting(factors):
+            counted[0] += 1
+            return original(factors)
+
+        monkeypatch.setattr(rootdata, "center", counting)
+        a40 = [SimpleType("A", 40)]
+        for build in (SemisimpleGroupSpec.simply_connected, SemisimpleGroupSpec.adjoint):
+            counted[0] = 0
+            spec = build(a40)
+            group = brauer_group_of_bg(spec)
+            assert counted == [1], build.__name__
+            assert group.order() == (41 if spec.central_generators else 1)
 
     def test_json_round_trip_and_factor_forms(self):
         spec = SemisimpleGroupSpec((SimpleType("A", 3), SimpleType("D", 4)), ((2, 1, 0),))
