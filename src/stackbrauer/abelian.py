@@ -39,10 +39,13 @@ __all__ = [
     "generated_subgroup",
     "enumerate_subgroups",
     "SUBGROUP_ORDER_BOUND",
+    "SUBGROUP_COUNT_BOUND",
 ]
 
 #: Default ceiling on the ambient group order for exhaustive subgroup search.
 SUBGROUP_ORDER_BOUND = 10_000
+#: Ceiling on the number of subgroups one exhaustive search may build.
+SUBGROUP_COUNT_BOUND = 50_000
 
 
 class GroupMismatchError(ValueError):
@@ -236,14 +239,10 @@ def _find_pivot(m: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, 
     return best
 
 
-def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
-    """Smith normal form with explicit unimodular transforms.
-
-    The work happens on one bordered list: its first ``rows`` rows are
-    ``[A | I_rows]`` and below them sit the ``cols`` rows of ``I_cols``.
-    Row operations touch only the first ``rows`` rows and column operations
-    only the first ``cols`` columns, so the steps that diagonalize ``A``
-    build ``U`` to its right and ``V`` below it.
+def _smith_sweep(w: list[list[int]], rows: int, cols: int) -> tuple[int, ...]:
+    """Diagonalize the top-left ``rows x cols`` block of ``w`` in place and
+    return its diagonal.  Row steps act on whole rows and column steps on
+    every row, so a border right of or below the block records them.
 
     Pivots are chosen as the smallest-in-absolute-value nonzero entry of the
     trailing submatrix, which keeps intermediate entries small in practice.
@@ -252,15 +251,8 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     the pivot row and clearing resumes, which is what forces the divisibility
     chain ``d[i] | d[i+1]``.  A unit pivot divides every entry, so it skips
     that scan.
-
-    >>> smith_normal_form(IntegerMatrix([[2, -1], [-1, 2]])).d
-    (1, 3)
     """
-    rows, cols = a.rows, a.cols
-    w = [row + [int(i == j) for j in range(rows)] for i, row in enumerate(a.row_lists())]
-    w += [[int(i == j) for j in range(cols)] for i in range(cols)]
     limit = min(rows, cols)
-
     for t in range(limit):
         while True:
             pivot = _find_pivot(w, t, rows, cols)
@@ -312,9 +304,24 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     for i in range(limit):
         if w[i][i] < 0:
             w[i] = [-x for x in w[i]]
+    return tuple(w[i][i] for i in range(limit))
 
+
+def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
+    """Smith normal form with explicit unimodular transforms.
+
+    The sweep runs on ``[A | I_rows]`` over ``I_cols``, so the steps that
+    diagonalize ``A`` build ``U`` to its right and ``V`` below it;
+    :func:`cokernel` runs the same sweep without that border.
+
+    >>> smith_normal_form(IntegerMatrix([[2, -1], [-1, 2]])).d
+    (1, 3)
+    """
+    rows, cols = a.rows, a.cols
+    w = [row + [int(i == j) for j in range(rows)] for i, row in enumerate(a.row_lists())]
+    w += [[int(i == j) for j in range(cols)] for i in range(cols)]
     return SmithDecomposition(
-        d=tuple(w[i][i] for i in range(limit)),
+        d=_smith_sweep(w, rows, cols),
         left=IntegerMatrix([row[cols:] for row in w[:rows]], cols=rows),
         right=IntegerMatrix(w[rows:], cols=cols),
     )
@@ -354,8 +361,8 @@ class FiniteAbelianGroup:
     def from_cyclic_moduli(cls, moduli) -> "FiniteAbelianGroup":
         """Canonical form of ``Z/m1 x ... x Z/mn`` for arbitrary ``mi >= 1``.
 
-        The moduli need not form a chain; the Smith normal form of
-        ``diag(m1, ..., mn)`` sorts that out.
+        The moduli need not form a chain: this is the cokernel of
+        ``diag(m1, ..., mn)``.
 
         >>> FiniteAbelianGroup.from_cyclic_moduli([2, 3]).invariant_factors
         (6,)
@@ -363,8 +370,7 @@ class FiniteAbelianGroup:
         moduli = [int(m) for m in moduli]
         if any(m < 1 for m in moduli):
             raise ValueError("cyclic moduli must be positive integers")
-        d = smith_normal_form(IntegerMatrix.diagonal(moduli)).d
-        return cls(tuple(x for x in d if x > 1))
+        return cokernel(IntegerMatrix.diagonal(moduli))[0]
 
     @property
     def rank(self) -> int:
@@ -493,11 +499,12 @@ def cokernel(a: IntegerMatrix) -> tuple[FiniteAbelianGroup, int]:
     Returns ``(torsion, free_rank)``: the finite part in invariant-factor
     form (diagonal entries equal to 1 are dropped) and the rank of the free
     part (zero diagonal entries plus the row surplus when ``rows > cols``).
+    The Smith sweep runs on the rows of ``a`` alone: no transform is built.
 
     >>> cokernel(IntegerMatrix([[2, -1], [-1, 2]]))[0].invariant_factors
     (3,)
     """
-    d = smith_normal_form(a).d
+    d = _smith_sweep(a.row_lists(), a.rows, a.cols)
     torsion = tuple(x for x in d if x > 1)
     free_rank = sum(1 for x in d if x == 0) + max(0, a.rows - a.cols)
     return FiniteAbelianGroup(torsion), free_rank
@@ -623,7 +630,9 @@ def enumerate_subgroups(group: FiniteAbelianGroup,
     reduced modulo the pivots below, and is kept when row ``i`` of
     ``diag(f) H^-1`` is integral.  Distinct forms are distinct subgroups.
     The generators are the rows of ``H`` nonzero modulo ``f``; the result is
-    sorted by ``(order, hnf)``.
+    sorted by ``(order, hnf)``.  Raises ``ValueError`` when the group order
+    exceeds ``max_order``, and as soon as more than ``SUBGROUP_COUNT_BOUND``
+    forms are built (each extends to the rows above it, so counts only grow).
 
     >>> [s.order() for s in enumerate_subgroups(FiniteAbelianGroup((4,)))]
     [1, 2, 4]
@@ -645,6 +654,8 @@ def enumerate_subgroups(group: FiniteAbelianGroup,
                     x = _cofactor_row(facs, block)
                     if x is not None:
                         grown.append((block, (x,) + cofactors))
+                        if len(grown) > SUBGROUP_COUNT_BOUND:
+                            raise ValueError(f"{group} has over {SUBGROUP_COUNT_BOUND} subgroups")
         blocks = grown
 
     memo: dict = {}

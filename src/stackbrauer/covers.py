@@ -231,8 +231,11 @@ def enumerate_admissible(g: int, n: int,
     Search space: ``g'`` runs while ``N(2g' - 2) <= 2g - 2`` (so
     ``g' <= (2g-2)/(2N) + 1``), and for each ``g'`` the branch degrees are
     the exact solutions of ``sum_i d_i (N - gcd(i, N)) = 2g - 2 - N(2g'-2)``
-    with nonnegative ``d_i``, filtered by the structural congruence.  Output
-    is in lexicographic order of ``(g', d1, ..., d_{N-1})``.
+    with nonnegative ``d_i`` that satisfy the structural congruence.  One
+    recursion, ``N - 1`` frames deep, carries the budget left and
+    ``sum_i i*d_i mod N``; the budget forces ``d_{N-1}``, so a datum is built
+    only when it is returned.  Output is in lexicographic order of
+    ``(g', d1, ..., d_{N-1})``.
 
     >>> [str(a) for a in enumerate_admissible(2, 2)]
     ["(g'=0, N=2, d=[6])", "(g'=1, N=2, d=[2])"]
@@ -249,29 +252,21 @@ def enumerate_admissible(g: int, n: int,
     weights = [n - gcd(i, n) for i in range(1, n)]
     found: list[AdmissibleDatum] = []
 
-    def branch_tuples(budget: int):
-        """All d with sum(d_i * weights[i]) == budget, lexicographically."""
-        def rec(idx: int, remaining: int, prefix: tuple[int, ...]):
-            if idx == len(weights):
-                if remaining == 0:
-                    yield prefix
-                return
-            w = weights[idx]
-            for d in range(remaining // w + 1):
-                yield from rec(idx + 1, remaining - d * w, prefix + (d,))
-        yield from rec(0, budget, ())
+    def extend(gq: int, degs: tuple[int, ...], budget: int, residue: int) -> None:
+        """Append every admissible datum whose degrees start with ``degs``."""
+        i = len(degs) + 1
+        w = weights[i - 1]
+        if i == n - 1:
+            d, r = divmod(budget, w)
+            if r == 0 and (residue + i * d) % n == 0:
+                found.append(AdmissibleDatum(gq, n, degs + (d,)))
+            return
+        for d in range(budget // w + 1):
+            extend(gq, degs + (d,), budget - d * w, (residue + i * d) % n)
 
-    gq = 0
-    while n * (2 * gq - 2) <= 2 * g - 2:
+    for gq in range((g - 1) // n + 2):
         if quotient_genus is None or gq == quotient_genus:
-            budget = 2 * g - 2 - n * (2 * gq - 2)
-            for degs in branch_tuples(budget):
-                candidate = AdmissibleDatum(gq, n, degs)
-                # the budget fixes the genus at g and keeps g' <= g, so only
-                # the structural congruence can fail
-                if candidate.weighted_degree_sum % n == 0:
-                    found.append(candidate)
-        gq += 1
+            extend(gq, (), 2 * g - 2 - n * (2 * gq - 2), 0)
     return found
 
 

@@ -92,9 +92,9 @@ class SimpleType:
         return f"{self.family}{self.rank}"
 
 
-def _simply_laced_edges(t: SimpleType) -> list[tuple[int, int]]:
+def _dynkin_edges(t: SimpleType) -> list[tuple[int, int]]:
     n = t.rank
-    if t.family == "A":
+    if t.family in ("A", "B", "C"):
         return [(i, i + 1) for i in range(n - 1)]
     if t.family == "D":
         # chain 0..n-3, with both n-2 and n-1 hanging off node n-3
@@ -118,33 +118,26 @@ def cartan_matrix(t: SimpleType) -> IntegerMatrix:
     >>> cartan_matrix(SimpleType("G", 2)).row_lists()
     [[2, -1], [-3, 2]]
     """
-    n = t.rank
-    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    if t.family in ("A", "D", "E"):
-        for i, j in _simply_laced_edges(t):
-            m[i][j] = -1
-            m[j][i] = -1
-    elif t.family == "B":
-        # last simple root short: the double bond sits in the final column
-        for i in range(n - 1):
-            m[i][i + 1] = -1
-            m[i + 1][i] = -1
-        m[n - 2][n - 1] = -2
-    elif t.family == "C":
-        # last simple root long: transpose of the B pattern
-        for i in range(n - 1):
-            m[i][i + 1] = -1
-            m[i + 1][i] = -1
-        m[n - 1][n - 2] = -2
-    elif t.family == "F":
-        m = [
+    if t.family == "F":
+        return IntegerMatrix([
             [2, -1, 0, 0],
             [-1, 2, -2, 0],
             [0, -1, 2, -1],
             [0, 0, -1, 2],
-        ]
-    elif t.family == "G":
-        m = [[2, -1], [-3, 2]]
+        ])
+    if t.family == "G":
+        return IntegerMatrix([[2, -1], [-3, 2]])
+    n = t.rank
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in _dynkin_edges(t):
+        m[i][j] = -1
+        m[j][i] = -1
+    if t.family == "B":
+        # last simple root short: the double bond sits in the final column
+        m[n - 2][n - 1] = -2
+    elif t.family == "C":
+        # last simple root long: transpose of the B pattern
+        m[n - 1][n - 2] = -2
     return IntegerMatrix(m, cols=n)
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stackbrauer.abelian as abelian
 from stackbrauer.abelian import (
     FiniteAbelianGroup,
     GroupElement,
@@ -294,8 +295,13 @@ def test_snf_matches_determinantal_divisors(rows):
     a = IntegerMatrix(rows)
     assert_valid_snf(a)
     d = smith_normal_form(a).d
+    divisors = [1] + [determinantal_divisor(rows, k) for k in range(1, len(d) + 1)]
     for k in range(1, len(d) + 1):
-        assert prod(d[:k]) == determinantal_divisor(rows, k), k
+        assert prod(d[:k]) == divisors[k], k
+    rank = max(k for k, x in enumerate(divisors) if x)
+    quotients = (divisors[k] // divisors[k - 1] for k in range(1, rank + 1))
+    assert cokernel(a) == (FiniteAbelianGroup(tuple(q for q in quotients if q > 1)),
+                           len(rows) - rank)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +339,19 @@ class TestCokernel:
             p = random_unimodular(rng, rows)
             q = random_unimodular(rng, cols)
             assert cokernel(a) == cokernel(p @ a @ q)
+
+    def test_invariant_factors_need_no_transforms(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("smith_normal_form builds transforms no caller here reads")
+
+        monkeypatch.setattr(abelian, "smith_normal_form", refuse)
+        assert cokernel(IntegerMatrix([[2, -1], [-1, 2]])) == (FiniteAbelianGroup((3,)), 0)
+        assert FiniteAbelianGroup.from_cyclic_moduli([4, 6]).invariant_factors == (2, 12)
+        g = FiniteAbelianGroup((2, 4))
+        assert generated_subgroup(g, [g.element([1, 1])]).structure.invariant_factors == (4,)
+        subs = enumerate_subgroups(FiniteAbelianGroup((2, 12)))
+        assert len(subs) == oracle_subgroup_count((2, 12))
+        assert all(s.structure.order() == s.order() for s in subs)
 
     def test_column_order_irrelevant(self):
         a = IntegerMatrix([[2, 0], [0, 3]])
@@ -499,6 +518,21 @@ class TestSubgroups:
             enumerate_subgroups(big)
         # and the bound is configurable
         assert len(enumerate_subgroups(big, max_order=10201)) == oracle_subgroup_count((101, 101))
+
+    def test_count_bound_enforced(self, monkeypatch):
+        monkeypatch.setattr(abelian, "SUBGROUP_COUNT_BOUND", 5)
+        assert len(enumerate_subgroups(FiniteAbelianGroup((2, 2)))) == 5
+        with pytest.raises(ValueError, match="over 5 subgroups"):
+            enumerate_subgroups(FiniteAbelianGroup((2, 4)))  # 8 subgroups
+        # the search stops at the bound, not after building every subgroup
+        monkeypatch.setattr(abelian, "SUBGROUP_COUNT_BOUND", 1000)
+        with pytest.raises(ValueError, match="over 1000 subgroups"):
+            enumerate_subgroups(FiniteAbelianGroup((2,) * 13))
+
+    def test_order_256_elementary_abelian_exceeds_count_bound(self):
+        # 417,199 subgroups: the default bound stops the search
+        with pytest.raises(ValueError, match="subgroups"):
+            enumerate_subgroups(FiniteAbelianGroup((2,) * 8))
 
     def test_deterministic_order(self):
         g = FiniteAbelianGroup((2, 4))

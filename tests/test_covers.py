@@ -178,11 +178,17 @@ class TestEnumerateAdmissible:
         assert enumerate_admissible(2, 2, quotient_genus=5) == []
 
     def test_matches_bounding_box_oracle(self):
-        for g in range(2, 6):
-            for n in range(2, 6):
+        for g in range(2, 7):
+            for n in range(2, 9):
                 ours = [(a.quotient_genus, a.order, a.branch_degrees)
                         for a in enumerate_admissible(g, n)]
                 assert ours == oracle_enumerate(g, n), (g, n)
+
+    def test_datum_built_once_per_returned_datum(self, monkeypatch):
+        counted = count_calls(monkeypatch, "AdmissibleDatum")
+        returned = sum(len(enumerate_admissible(g, n))
+                       for g, n in [(2, 2), (3, 4), (5, 3), (6, 6), (4, 7), (9, 8)])
+        assert returned > 0 and counted == [returned]
 
     def test_output_is_lexicographic(self):
         listing = enumerate_admissible(5, 4)

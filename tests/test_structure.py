@@ -1,9 +1,11 @@
-"""Static checks on the package layout: imports stay at module level and the
-internal import graph has no cycle, so the layering reads
+"""Static checks on the package layout: imports stay at module level, name
+only the standard library or the package, and the internal import graph has
+no cycle, so the layering reads
 ``abelian -> rootdata``, ``abelian -> covers -> brauer``, with ``cli`` on top.
 """
 
 import ast
+import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -48,3 +50,18 @@ def test_internal_import_graph_is_acyclic():
     TopologicalSorter(graph).prepare()
     assert graph["covers"] == {"abelian"}
     assert graph["brauer"] == {"abelian", "covers"}
+
+
+def test_runtime_imports_only_the_standard_library():
+    outside = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            outside += [f"{name}:{node.lineno} {top}" for top in tops
+                        if top not in sys.stdlib_module_names]
+    assert outside == []
