@@ -261,6 +261,18 @@ class TestSmithNormalForm:
             m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
             assert smith_normal_form(m).d == smith_normal_form(m.transpose()).d
 
+    def test_80x80_transforms_bounded_by_determinant(self):
+        # Entries uniform in [-50, 50]; |det A| has 585 bits.  A pivot sweep
+        # with no Hermite phase grows V to 21,280 bits on this matrix.
+        rng = random.Random(0)
+        a = IntegerMatrix([[rng.randint(-50, 50) for _ in range(80)] for _ in range(80)])
+        dec = smith_normal_form(a)
+        bound = 2 * abs(a.det()).bit_length()
+        for t in (dec.left, dec.right):
+            assert max(abs(x).bit_length() for row in t.row_lists() for x in row) <= bound
+        assert dec.left @ a @ dec.right == dec.diagonal_matrix()
+        assert abs(dec.left.det()) == abs(dec.right.det()) == 1
+
 
 def leibniz_det(m: list[list[int]]) -> int:
     """Determinant as the signed sum over all permutations."""

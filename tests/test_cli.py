@@ -7,6 +7,7 @@ library parsers to keep the documented schemas honest.
 """
 
 import json
+import random
 import shutil
 import subprocess
 
@@ -56,6 +57,17 @@ class TestSnfCommand:
         product = u @ a @ v
         assert product == IntegerMatrix.diagonal(doc["d"])
         assert doc["d"] == [2, 16]
+
+    def test_80x80_json_answers(self, capsys):
+        # Its transforms once grew past the 4300-digit limit on int -> str.
+        rng = random.Random(0)
+        rows = [[rng.randint(-50, 50) for _ in range(80)] for _ in range(80)]
+        literal = ";".join(",".join(str(x) for x in row) for row in rows)
+        code, out, err = run_cli(capsys, "snf", "--json", "--", literal)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        a = IntegerMatrix(rows)
+        assert IntegerMatrix(doc["U"]) @ a @ IntegerMatrix(doc["V"]) == IntegerMatrix.diagonal(doc["d"])
 
     def test_bad_literal_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "snf", "1,2;3")
