@@ -6,8 +6,9 @@ floating point, no fixed-width overflow.  The two central tools are
 * the Smith normal form of an integer matrix ``A``: unimodular ``U``, ``V``
   with ``U @ A @ V`` diagonal, the diagonal nonnegative and each entry
   dividing the next.  A Hermite phase (row steps to the reduced Hermite
-  normal form) runs before the pivot sweep, so the transforms stay about
-  the size of ``|det A|`` instead of growing with every column step, and
+  normal form) runs before the pivot sweep, so the entries of ``U`` and
+  ``V`` stay within a few times the bit length of ``|det A|`` instead of
+  growing with every column step, and
 
 * finite abelian groups in invariant-factor form ``Z/f1 x ... x Z/fk``
   with ``f1 | f2 | ... | fk`` and every ``fi >= 2``, with element
@@ -353,11 +354,14 @@ def _hermite(w: list[list[int]], rows: int, cols: int) -> None:
 
     def settle(j: int) -> None:
         order = sorted(pivots)
-        pivots[j] = _reduce(pivots[j], pivots, [k for k in order if k > j])
-        for k in order:
-            if k >= j:
-                break
-            pivots[k] = _reduce(pivots[k], pivots, [c for c in order if c >= j])
+        at = order.index(j)
+        pivots[j] = _reduce(pivots[j], pivots, order[at + 1:])
+        p = pivots[j][j]
+        for k in order[:at]:
+            # A row whose entry is already in [0, p) needs no step: it is
+            # unchanged, and pivot rows are kept reduced right of their pivot.
+            if pivots[k][j] // p:
+                pivots[k] = _reduce(pivots[k], pivots, order[at:])
 
     for row in w[:rows]:
         for j in range(cols):
@@ -393,12 +397,12 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     normal form ``H`` by row steps; the pivot sweep (:func:`_smith_sweep`)
     then diagonalizes ``H``.  For a nonsingular square ``A``, ``H`` and
     ``U = H A^-1`` are unique: the entries of ``H`` lie below ``|det A|`` and
-    those of ``U`` at most ``n`` times the largest ``(n-1)``-minor of ``A``.
-    The sweep can grow ``U`` again where ``H`` has several non-unit pivots:
-    on 84 random squares of sizes 8 to 60 with entries in [-50, 50], ``U``
-    and ``V`` kept within twice the bit length of ``|det A|`` in 81 and
-    within three times in all.  The sweep alone grew ``V`` to 21,280 bits
-    on such an 80x80 matrix, whose ``|det A|`` has 585.
+    those of ``U`` are at most ``n`` times the largest ``(n-1)``-minor of
+    ``A``.  The sweep can grow ``U`` again where ``H`` has several non-unit
+    pivots; on random squares with entries in [-50, 50], ``U`` and ``V``
+    mostly stay within twice the bit length of ``|det A|`` and have stayed
+    within three times.  The sweep alone grew ``V`` to 21,280 bits on such
+    an 80x80 matrix, whose ``|det A|`` has 585.
     :func:`cokernel` runs the sweep alone and without the border: it builds
     no transform, and the Hermite form of a Cartan matrix fills in its last
     column, so there the phase costs more than it saves.

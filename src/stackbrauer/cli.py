@@ -13,7 +13,8 @@ Matrix literals are rows separated by ``;`` with comma-separated entries
 subcommand takes ``--json`` to emit a single JSON document instead of the
 table form.  Exit codes: 0 success, 1 domain-level negative verdict
 (inadmissible or half-integral-genus datum under ``classify``), 2 usage or
-parse error.
+parse error, 3 resource failure (the input is valid but exhausted the
+recursion depth or the memory, e.g. ``enumerate --g 2 --N 1200``).
 """
 
 from __future__ import annotations
@@ -275,6 +276,9 @@ def main(argv=None) -> int:
         # UsageError, and domain rejections from the library (bad genus bounds etc.)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: out of resources: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

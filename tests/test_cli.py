@@ -151,6 +151,21 @@ class TestEnumerateCommand:
         assert run_cli(capsys, "enumerate", "--g", "1", "--N", "2")[0] == 2
         assert run_cli(capsys, "enumerate", "--g", "2", "--N", "1")[0] == 2
 
+    def test_recursion_depth_exits_3(self, capsys):
+        # The search recurses N - 1 frames deep, past the interpreter's limit.
+        code, out, err = run_cli(capsys, "enumerate", "--g", "2", "--N", "1200")
+        assert code == 3 and out == ""
+        assert err.startswith("error: out of resources: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_memory_error_exits_3(self, capsys, monkeypatch):
+        def exhaust(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("stackbrauer.cli.smith_normal_form", exhaust)
+        code, out, err = run_cli(capsys, "snf", "2,-1;-1,2")
+        assert (code, out, err) == (3, "", "error: out of resources: MemoryError\n")
+
 
 class TestInertiaCommand:
     def test_table_output(self, capsys):
