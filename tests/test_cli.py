@@ -151,8 +151,13 @@ class TestEnumerateCommand:
         assert run_cli(capsys, "enumerate", "--g", "1", "--N", "2")[0] == 2
         assert run_cli(capsys, "enumerate", "--g", "2", "--N", "1")[0] == 2
 
-    def test_recursion_depth_exits_3(self, capsys):
-        # The search recurses N - 1 frames deep, past the interpreter's limit.
+    def test_recursion_depth_exits_3(self, capsys, monkeypatch):
+        # No valid input exhausts the recursion limit any more; a stand-in
+        # search raises RecursionError as an exhausted recursion would.
+        def exhaust(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("stackbrauer.cli.enumerate_admissible", exhaust)
         code, out, err = run_cli(capsys, "enumerate", "--g", "2", "--N", "1200")
         assert code == 3 and out == ""
         assert err.startswith("error: out of resources: ") and err.count("\n") == 1
@@ -232,6 +237,36 @@ class TestClassifyCommand:
         assert run_cli(capsys, "classify", "--datum", "0,2,x")[0] == 2
         assert run_cli(capsys, "classify", "--datum", "0,3,1")[0] == 2
         assert run_cli(capsys, "classify", "--datum", "0")[0] == 2
+
+
+class TestLeadingMinus:
+    """Literals that start with "-" are values, not option flags."""
+
+    def test_snf_positional(self, capsys):
+        code, out, err = run_cli(capsys, "snf", "-1,0;0,1")
+        assert code == 0 and err == ""
+        assert out.startswith("d = [1, 1]\n")
+
+    def test_snf_matches_double_dash_form(self, capsys):
+        want = run_cli(capsys, "snf", "--json", "--", "-2,1;1,-2")
+        assert want[0] == 0
+        assert run_cli(capsys, "snf", "--json", "-2,1;1,-2") == want
+        assert run_cli(capsys, "snf", "-2,1;1,-2", "--json") == want
+
+    def test_classify_option_value(self, capsys):
+        want = run_cli(capsys, "classify", "--datum=-1,2,6")
+        assert want == (2, "", "error: quotient genus -1 is negative\n")
+        assert run_cli(capsys, "classify", "--datum", "-1,2,6") == want
+
+    def test_classify_negative_zero_answers(self, capsys):
+        want = run_cli(capsys, "classify", "--datum", "0,2,6", "--json")
+        assert want[0] == 0
+        assert run_cli(capsys, "classify", "--datum", "-0,2,6", "--json") == want
+
+    def test_negative_number_option_unchanged(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--g", "2", "--N", "2", "--gq", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: quotient genus filter must be nonnegative\n"
 
 
 class TestParserBehaviour:

@@ -1,18 +1,30 @@
 """Tests for cyclic-cover data: admissibility, enumeration, sector reports.
 
-The enumeration oracle below is a plain bounding-box scan (every branch
-vector inside the box allowed by the ramification budget, filtered by a
-from-scratch Riemann-Hurwitz recomputation), as opposed to the library's
-budgeted recursion, so agreement checks the search strategy and not just
-the formula.
+Two enumeration oracles stand apart from the library's search, a
+depth-first walk that a reachability table keeps on prefixes that can
+complete, so agreement checks the search strategy and not just the
+formula.  The first is a plain bounding-box scan (every branch vector
+inside the box allowed by the ramification budget, filtered by a
+from-scratch Riemann-Hurwitz recomputation); it is exhaustive and only
+reaches small orders.  The second scans multisets of branch exponents,
+one exponent per branch point, grouped by ramification weight; it reaches
+the large orders where few branch points fit the budget.
 """
 
 import itertools
+import json
+import os
+import random
+import subprocess
+import sys
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import stackbrauer
 import stackbrauer.covers as covers
 from stackbrauer.covers import (
     CONNECTED,
@@ -55,6 +67,51 @@ def oracle_enumerate(g: int, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
     """The Riemann-Hurwitz solutions that also satisfy the structural congruence."""
     return [(gq, m, degs) for gq, m, degs in oracle_solutions(g, n)
             if sum(i * d for i, d in enumerate(degs, start=1)) % n == 0]
+
+
+def _weight_counts(weights: list[int], budget: int):
+    """Every ``((w, c), ...)`` over ``weights`` with ``sum(w * c) == budget``."""
+    if not weights:
+        if budget == 0:
+            yield ()
+        return
+    w, rest = weights[0], weights[1:]
+    for c in range(budget // w + 1):
+        for tail in _weight_counts(rest, budget - c * w):
+            yield ((w, c),) + tail
+
+
+def oracle_by_multisets(g: int, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Admissible data from a scan over multisets of branch exponents.
+
+    Each branch point carries one exponent ``i`` and costs ``N - gcd(i, N)``
+    of the Riemann-Hurwitz budget.  For every split of the budget into
+    counts per weight, every multiset of exponents of those weights is
+    tried against the structural congruence.
+    """
+    by_weight = defaultdict(list)
+    for i in range(1, n):
+        by_weight[n - gcd(i, n)].append(i)
+    weights = sorted(by_weight)
+    out = []
+    gq = 0
+    while n * (2 * gq - 2) <= 2 * g - 2:
+        budget = 2 * g - 2 - n * (2 * gq - 2)
+        for counts in _weight_counts(weights, budget):
+            parts = [itertools.combinations_with_replacement(by_weight[w], c) for w, c in counts]
+            for choice in itertools.product(*parts):
+                points = [i for part in choice for i in part]
+                if sum(points) % n == 0:
+                    degs = [0] * (n - 1)
+                    for i in points:
+                        degs[i - 1] += 1
+                    out.append((gq, n, tuple(degs)))
+        gq += 1
+    return sorted(out)
+
+
+def listing(g: int, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    return [(a.quotient_genus, a.order, a.branch_degrees) for a in enumerate_admissible(g, n)]
 
 
 def count_calls(monkeypatch, name: str) -> list[int]:
@@ -207,6 +264,40 @@ class TestEnumerateAdmissible:
             listing = enumerate_admissible(g, 2, quotient_genus=0)
             assert listing == [AdmissibleDatum(0, 2, (2 * g + 2,))]
 
+    def test_wiman_bound_does_not_apply(self):
+        # Wiman's N <= 4g + 2 bounds automorphisms of connected curves only;
+        # these data include disconnected covers.
+        assert [len(enumerate_admissible(g, n)) for g, n in [(3, 16), (5, 40), (8, 56)]] == [2, 4, 2]
+
+    def test_matches_multiset_oracle_beyond_wiman(self):
+        # Past 4g + 2 only genus-0 quotients with 3 or 4 branch points fit the
+        # budget, and 1/a + 1/b + 1/c <= 41/42 (Hurwitz) leaves none past 84(g - 1).
+        nonempty = []
+        for g in range(2, 9):
+            for n in range(4 * g + 3, 84 * (g - 1) + 1):
+                ours = listing(g, n)
+                assert ours == oracle_by_multisets(g, n), (g, n)
+                if ours:
+                    nonempty.append((g, n))
+        assert len(nonempty) == 20 and {(3, 16), (5, 40), (8, 56)} <= set(nonempty)
+
+    def test_matches_multiset_oracle_on_a_sample(self):
+        pairs = [(g, n) for g in range(2, 9) for n in range(10, 4 * g + 11)]
+        for g, n in random.Random(7).sample(pairs, 60):
+            assert listing(g, n) == oracle_by_multisets(g, n), (g, n)
+
+    def test_every_visited_prefix_completes(self, monkeypatch):
+        # Each node expanded by _children lies on the path of a returned
+        # datum, or is the root of a quotient genus: at most (N - 2) expanded
+        # nodes per datum below the root, the forced last exponent aside.
+        expanded = count_calls(monkeypatch, "_children")
+        for g, n in [(2, 2), (3, 4), (6, 6), (9, 8), (30, 7), (3, 16), (2, 1200), (601, 1200)]:
+            before = expanded[0]
+            data = enumerate_admissible(g, n)
+            roots = (g - 1) // n + 2
+            assert expanded[0] - before <= (n - 2) * len(data) + roots, (g, n)
+        assert expanded[0] > 0
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             enumerate_admissible(1, 2)
@@ -315,6 +406,30 @@ class TestSectorReport:
         assert none_case["brauer"] is None
 
 
+class TestLargeOrders:
+    """Orders far past the Wiman bound, answered by the CLI in a fresh process.
+
+    A search that walks every prefix runs for minutes on these, or runs out
+    of recursion depth; the timeout turns such a regression into a failure.
+    """
+
+    TIMEOUT_S = 3.0
+
+    @pytest.mark.parametrize("g, n, count", [(2, 900, 0), (2, 1200, 0), (601, 1200, 70)])
+    def test_enumerate_answers(self, g, n, count):
+        env = dict(os.environ, PYTHONPATH=str(Path(stackbrauer.__file__).resolve().parents[1]))
+        argv = [sys.executable, "-m", "stackbrauer.cli", "enumerate", "--g", str(g), "--N", str(n),
+                "--json"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                              timeout=self.TIMEOUT_S)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        data = [AdmissibleDatum.from_json(x) for x in json.loads(proc.stdout)["data"]]
+        assert len(data) == count
+        assert all(is_admissible(a, g) for a in data)
+        keys = [(a.quotient_genus, a.branch_degrees) for a in data]
+        assert keys == sorted(set(keys))
+
+
 class TestDecomposeInertia:
     def test_pinned_decomposition(self):
         reports = decompose_inertia(2, 2)
@@ -334,7 +449,7 @@ class TestDecomposeInertia:
         assert data == enumerate_admissible(3, 4)
 
     def test_no_genus_computed_per_riemann_hurwitz_solution(self, monkeypatch):
-        # the budget recursion fixes the genus, so only the congruence is tested
+        # the search spends the genus budget exactly, so no genus is recomputed
         counted = count_calls(monkeypatch, "total_genus")
         for g, n in [(2, 2), (3, 4), (5, 3), (6, 6), (4, 7)]:
             decompose_inertia(g, n)
