@@ -64,6 +64,9 @@ __all__ = [
 
 #: The ambient group of all sector Brauer classes.
 ORDER_TWO = FiniteAbelianGroup((2,))
+_ORDER_TWO_ELEMENTS = (ORDER_TWO.element((0,)), ORDER_TWO.element((1,)))
+_TRIVIAL = FiniteAbelianGroup(())
+_TRIVIAL_IDENTITY = _TRIVIAL.identity()
 
 CONNECTED = "connected"
 DISCONNECTED = "disconnected"
@@ -101,7 +104,7 @@ class AdmissibleDatum:
     def __post_init__(self) -> None:
         gq = int(self.quotient_genus)
         n = int(self.order)
-        degs = tuple(int(d) for d in self.branch_degrees)
+        degs = tuple(map(int, self.branch_degrees))
         object.__setattr__(self, "quotient_genus", gq)
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "branch_degrees", degs)
@@ -111,7 +114,7 @@ class AdmissibleDatum:
             raise ValueError(f"cover order {n} must be at least 2")
         if len(degs) != n - 1:
             raise ValueError(f"expected {n - 1} branch degrees for order {n}, got {len(degs)}")
-        if any(d < 0 for d in degs):
+        if min(degs) < 0:
             raise ValueError("branch degrees must be nonnegative")
 
     @property
@@ -224,6 +227,76 @@ def is_admissible(a: AdmissibleDatum, g: int) -> Admissibility:
     return _verdict(a, g, total_genus(a))
 
 
+def _completions(n: int, weights: list[int], tops: list[int]) -> list[dict[int, int]]:
+    """The reachability table of one search, as ``table[i][b]`` for ``1 <= i <= N``.
+
+    ``table[i][b]`` is an ``N``-bit mask: bit ``r`` is set when some
+    ``d_i, ..., d_{N-1} >= 0`` spend exactly ``b`` of the Riemann-Hurwitz
+    budget (``sum_{j>=i} w_j*d_j = b``) and close a prefix of residue ``r``
+    (``r + sum_{j>=i} j*d_j = 0 (mod N)``).  Bottom-up from
+    ``table[N] = {0: {0}}``, with no loop over ``d``::
+
+        table[i][b] = table[i+1][b] | rot(table[i][b - w_i], -i)
+
+    A row keeps only the budgets that a prefix can leave from one of the
+    ``tops`` and that the suffix can spend; a missing budget completes
+    nothing.  Both sets are bitmasks over budgets, closed under one weight
+    per level by doubling.
+    """
+    top = max(tops)
+    spendable = (1 << (top + 1)) - 1
+    full = (1 << n) - 1
+    # left[i]: the budgets that d_1..d_i can leave of a top
+    left = [0] * (n + 1)
+    mask = sum(1 << b for b in tops)
+    for i, w in enumerate(weights, start=1):
+        step = w
+        while step <= top:
+            mask |= mask >> step
+            step *= 2
+        left[i] = mask
+    table: list[dict[int, int]] = [{}] * n + [{0: 1}]
+    spent = 1  # the budgets d_i..d_{N-1} can spend, as a mask over budgets
+    for i in range(n - 1, 0, -1):
+        w = weights[i - 1]
+        step = w
+        while step <= top:
+            spent |= (spent << step) & spendable
+            step *= 2
+        below, row = table[i + 1], {}
+        bits = bin(left[i] & spent)[:1:-1]  # bits[b] == "1" for every kept budget b
+        b = bits.find("1")
+        while b >= 0:
+            m = below.get(b, 0)
+            x = row.get(b - w, 0)
+            if x:
+                m |= ((x >> i) | (x << (n - i))) & full
+            if m:
+                row[b] = m
+            b = bits.find("1", b + 1)
+        table[i] = row
+    return table
+
+
+def _children(row: dict[int, int], i: int, w: int, n: int,
+              budget: int, residue: int) -> list[tuple[int, int, int, int]]:
+    """The search's children ``(i, d_i, budget left, residue)`` that can complete.
+
+    ``row`` is the table row of exponent ``i + 1``.  The largest ``d_i``
+    comes first, so that a stack pops the children in lexicographic order.
+    """
+    kids = []
+    d, b = divmod(budget, w)
+    r = (residue + i * d) % n
+    while d >= 0:
+        if row.get(b, 0) >> r & 1:
+            kids.append((i, d, b, r))
+        d -= 1
+        b += w
+        r = (r - i) % n
+    return kids
+
+
 def enumerate_admissible(g: int, n: int,
                          quotient_genus: Optional[int] = None) -> list[AdmissibleDatum]:
     """All admissible data for genus ``g`` and cover order ``n``.
@@ -231,11 +304,22 @@ def enumerate_admissible(g: int, n: int,
     Search space: ``g'`` runs while ``N(2g' - 2) <= 2g - 2`` (so
     ``g' <= (2g-2)/(2N) + 1``), and for each ``g'`` the branch degrees are
     the exact solutions of ``sum_i d_i (N - gcd(i, N)) = 2g - 2 - N(2g'-2)``
-    with nonnegative ``d_i`` that satisfy the structural congruence.  One
-    recursion, ``N - 1`` frames deep, carries the budget left and
-    ``sum_i i*d_i mod N``; the budget forces ``d_{N-1}``, so a datum is built
-    only when it is returned.  Output is in lexicographic order of
-    ``(g', d1, ..., d_{N-1})``.
+    with nonnegative ``d_i`` that satisfy the structural congruence.
+
+    One reachability table per call (:func:`_completions`) records, for
+    every exponent ``i`` and budget ``b``, the residues ``sum_{j>=i} j*d_j``
+    that the degrees from ``i`` on can reach while spending exactly ``b``.
+    A depth-first search with an explicit stack then descends into
+    ``d_i`` only when the rest can spend the budget left and close the
+    congruence; the budget forces ``d_{N-1}``.  So every prefix it visits
+    extends to a returned datum:
+
+        nodes visited <= (N - 1) * (data returned) + (number of g' values),
+
+    plus the table, which has at most ``N * (2g - 2 + 2N + 1)`` entries.
+    The search has no recursion, so ``N`` meets no recursion limit, and a
+    datum is built only when it is returned.  Output is in lexicographic
+    order of ``(g', d1, ..., d_{N-1})``.
 
     >>> [str(a) for a in enumerate_admissible(2, 2)]
     ["(g'=0, N=2, d=[6])", "(g'=1, N=2, d=[2])"]
@@ -249,24 +333,26 @@ def enumerate_admissible(g: int, n: int,
     if quotient_genus is not None and quotient_genus < 0:
         raise ValueError("quotient genus filter must be nonnegative")
 
+    roots = [(gq, 2 * g - 2 - n * (2 * gq - 2)) for gq in range((g - 1) // n + 2)
+             if quotient_genus is None or gq == quotient_genus]
+    if not roots:
+        return []
     weights = [n - gcd(i, n) for i in range(1, n)]
+    table = _completions(n, weights, [top for _, top in roots])
     found: list[AdmissibleDatum] = []
-
-    def extend(gq: int, degs: tuple[int, ...], budget: int, residue: int) -> None:
-        """Append every admissible datum whose degrees start with ``degs``."""
-        i = len(degs) + 1
-        w = weights[i - 1]
-        if i == n - 1:
-            d, r = divmod(budget, w)
-            if r == 0 and (residue + i * d) % n == 0:
-                found.append(AdmissibleDatum(gq, n, degs + (d,)))
-            return
-        for d in range(budget // w + 1):
-            extend(gq, degs + (d,), budget - d * w, (residue + i * d) % n)
-
-    for gq in range((g - 1) // n + 2):
-        if quotient_genus is None or gq == quotient_genus:
-            extend(gq, (), 2 * g - 2 - n * (2 * gq - 2), 0)
+    degs = [0] * (n - 1)
+    for gq, top in roots:
+        # a node (i, d, b, r): d_i = d leaves budget b and residue r
+        stack = [(0, 0, top, 0)] if table[1].get(top, 0) & 1 else []
+        while stack:
+            i, d, budget, residue = stack.pop()
+            if i:
+                degs[i - 1] = d
+            if i == n - 2:
+                degs[-1] = budget // weights[-1]
+                found.append(AdmissibleDatum(gq, n, tuple(degs)))
+            else:
+                stack += _children(table[i + 2], i + 1, weights[i], n, budget, residue)
     return found
 
 
@@ -312,9 +398,8 @@ def _parity_report(a: AdmissibleDatum) -> BrauerReport:
     """
     d_over_n = a.weighted_degree_sum // a.order
     if all(d % 2 == 0 for d in a.branch_degrees):
-        return BrauerReport(ORDER_TWO, ORDER_TWO.element((d_over_n % 2,)), d_over_n, True)
-    trivial = FiniteAbelianGroup(())
-    return BrauerReport(trivial, trivial.identity(), d_over_n, False)
+        return BrauerReport(ORDER_TWO, _ORDER_TWO_ELEMENTS[d_over_n % 2], d_over_n, True)
+    return BrauerReport(_TRIVIAL, _TRIVIAL_IDENTITY, d_over_n, False)
 
 
 @dataclass(frozen=True)
