@@ -9,12 +9,13 @@ One entry point with five subcommands:
 * ``classify``            full report for a single datum
 
 Matrix literals are rows separated by ``;`` with comma-separated entries
-(``"2,-1;-1,2"``); data are flat comma lists (``"0,2,6"``).  Every
+(``"2,-1;-1,2"``); data are flat comma lists (``"0,2,6"``).  A literal may
+start with a minus (``snf "-1,0;0,1"``, ``classify --datum -1,2,6``).  Every
 subcommand takes ``--json`` to emit a single JSON document instead of the
 table form.  Exit codes: 0 success, 1 domain-level negative verdict
 (inadmissible or half-integral-genus datum under ``classify``), 2 usage or
-parse error, 3 resource failure (the input is valid but exhausted the
-recursion depth or the memory, e.g. ``enumerate --g 2 --N 1200``).
+parse error, 3 resource failure (the input is valid but answering it
+exhausted the recursion depth or the memory).
 """
 
 from __future__ import annotations
@@ -267,9 +268,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The options that take no value.
+_FLAGS = frozenset({"-h", "--help", "--json", "--genus0-only"})
+
+
+def _shield_leading_minus(argv: list[str]) -> list[str]:
+    """Keep literals such as ``-1,0;0,1`` from reading as option flags.
+
+    argparse takes a token that starts with ``-`` for an option unless it is
+    a plain negative number, and no option here starts with a minus and a
+    digit.  Such a token is attached with ``=`` to the option before it when
+    that option takes a value, and is otherwise moved behind a ``--`` at the
+    end, where it stays positional.  An argv that has ``--`` already is
+    left as it is.
+    """
+    if "--" in argv:
+        return argv
+    kept: list[str] = []
+    moved: list[str] = []
+    for token in argv:
+        if token[:1] == "-" and token[1:2].isdigit() and not token[1:].isdigit():
+            before = kept[-1] if kept else ""
+            if before.startswith("--") and "=" not in before and before not in _FLAGS:
+                kept[-1] = f"{before}={token}"
+            else:
+                moved.append(token)
+        else:
+            kept.append(token)
+    return kept + ["--"] + moved if moved else kept
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_shield_leading_minus(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ValueError as exc:
