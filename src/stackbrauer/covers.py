@@ -227,6 +227,17 @@ def is_admissible(a: AdmissibleDatum, g: int) -> Admissibility:
     return _verdict(a, g, total_genus(a))
 
 
+def _set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    bits = bin(mask)[:1:-1]
+    out = []
+    b = bits.find("1")
+    while b >= 0:
+        out.append(b)
+        b = bits.find("1", b + 1)
+    return out
+
+
 def _completions(n: int, weights: list[int], tops: list[int]) -> list[dict[int, int]]:
     """The reachability table of one search, as ``table[i][b]`` for ``1 <= i <= N``.
 
@@ -240,41 +251,52 @@ def _completions(n: int, weights: list[int], tops: list[int]) -> list[dict[int, 
 
     A row keeps only the budgets that a prefix can leave from one of the
     ``tops`` and that the suffix can spend; a missing budget completes
-    nothing.  Both sets are bitmasks over budgets, closed under one weight
-    per level by doubling.
+    nothing.  Both sets are bitmasks over budgets, closed by doubling under
+    each weight where it first occurs.  Closing again under a weight
+    changes nothing, so there are at most ``tau(N)`` distinct sets each way
+    and the kept budgets are listed only when one of them changes.
     """
     top = max(tops)
     spendable = (1 << (top + 1)) - 1
     full = (1 << n) - 1
-    # left[i]: the budgets that d_1..d_i can leave of a top
-    left = [0] * (n + 1)
-    mask = sum(1 << b for b in tops)
-    for i, w in enumerate(weights, start=1):
+
+    def close(mask: int, w: int, down: bool) -> int:
         step = w
         while step <= top:
-            mask |= mask >> step
+            mask |= mask >> step if down else (mask << step) & spendable
             step *= 2
-        left[i] = mask
+        return mask
+
+    left = []  # left[i - 1]: the budgets that d_1..d_i can leave of a top
+    mask = sum(1 << b for b in tops)
+    seen = set()
+    for w in weights:
+        if w not in seen:
+            seen.add(w)
+            mask = close(mask, w, True)
+        left.append(mask)
     table: list[dict[int, int]] = [{}] * n + [{0: 1}]
-    spent = 1  # the budgets d_i..d_{N-1} can spend, as a mask over budgets
+    spent = 1  # the budgets that d_i..d_{N-1} can spend
+    seen = set()
+    listed = (None, None)
     for i in range(n - 1, 0, -1):
         w = weights[i - 1]
-        step = w
-        while step <= top:
-            spent |= (spent << step) & spendable
-            step *= 2
+        if w not in seen:
+            seen.add(w)
+            spent = close(spent, w, False)
+        if listed[0] is not left[i - 1] or listed[1] is not spent:  # either set changed
+            listed = (left[i - 1], spent)
+            budgets = _set_bits(left[i - 1] & spent)
         below, row = table[i + 1], {}
-        bits = bin(left[i] & spent)[:1:-1]  # bits[b] == "1" for every kept budget b
-        b = bits.find("1")
-        while b >= 0:
+        for b in budgets:
             m = below.get(b, 0)
             x = row.get(b - w, 0)
             if x:
                 m |= ((x >> i) | (x << (n - i))) & full
             if m:
                 row[b] = m
-            b = bits.find("1", b + 1)
-        table[i] = row
+        if row:
+            table[i] = row
     return table
 
 
