@@ -110,7 +110,7 @@ def oracle_by_multisets(g: int, n: int) -> list[tuple[int, int, tuple[int, ...]]
     return sorted(out)
 
 
-def listing(g: int, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
+def library_data(g: int, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
     return [(a.quotient_genus, a.order, a.branch_degrees) for a in enumerate_admissible(g, n)]
 
 
@@ -267,7 +267,8 @@ class TestEnumerateAdmissible:
     def test_wiman_bound_does_not_apply(self):
         # Wiman's N <= 4g + 2 bounds automorphisms of connected curves only;
         # these data include disconnected covers.
-        assert [len(enumerate_admissible(g, n)) for g, n in [(3, 16), (5, 40), (8, 56)]] == [2, 4, 2]
+        sizes = [len(enumerate_admissible(g, n)) for g, n in [(3, 16), (5, 40), (8, 56)]]
+        assert sizes == [2, 4, 2]
 
     def test_matches_multiset_oracle_beyond_wiman(self):
         # Past 4g + 2 only genus-0 quotients with 3 or 4 branch points fit the
@@ -275,7 +276,7 @@ class TestEnumerateAdmissible:
         nonempty = []
         for g in range(2, 9):
             for n in range(4 * g + 3, 84 * (g - 1) + 1):
-                ours = listing(g, n)
+                ours = library_data(g, n)
                 assert ours == oracle_by_multisets(g, n), (g, n)
                 if ours:
                     nonempty.append((g, n))
@@ -284,12 +285,12 @@ class TestEnumerateAdmissible:
     def test_matches_multiset_oracle_on_a_sample(self):
         pairs = [(g, n) for g in range(2, 9) for n in range(10, 4 * g + 11)]
         for g, n in random.Random(7).sample(pairs, 60):
-            assert listing(g, n) == oracle_by_multisets(g, n), (g, n)
+            assert library_data(g, n) == oracle_by_multisets(g, n), (g, n)
 
     def test_every_visited_prefix_completes(self, monkeypatch):
-        # Each node expanded by _children lies on the path of a returned
-        # datum, or is the root of a quotient genus: at most (N - 2) expanded
-        # nodes per datum below the root, the forced last exponent aside.
+        # A node that _children expands is the root or a choice of d_1..d_{N-3}
+        # on the path of a returned datum (d_{N-2} nodes are leaves, d_{N-1} is
+        # forced): at most N - 2 per datum, and at most one root per g'.
         expanded = count_calls(monkeypatch, "_children")
         for g, n in [(2, 2), (3, 4), (6, 6), (9, 8), (30, 7), (3, 16), (2, 1200), (601, 1200)]:
             before = expanded[0]
