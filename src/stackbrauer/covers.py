@@ -252,9 +252,9 @@ def _completions(n: int, weights: list[int], tops: list[int]) -> list[dict[int, 
     A row keeps only the budgets that a prefix can leave from one of the
     ``tops`` and that the suffix can spend; a missing budget completes
     nothing.  Both sets are bitmasks over budgets, closed by doubling under
-    each weight where it first occurs.  Closing again under a weight
-    changes nothing, so there are at most ``tau(N)`` distinct sets each way
-    and the kept budgets are listed only when one of them changes.
+    each weight where it first occurs (closing again under a weight changes
+    nothing).  For ``(g, N) = (601, 1200)`` the table keeps 22,185
+    entries, where the budgets the suffix can spend alone give 998,205.
     """
     top = max(tops)
     spendable = (1 << (top + 1)) - 1
@@ -278,17 +278,13 @@ def _completions(n: int, weights: list[int], tops: list[int]) -> list[dict[int, 
     table: list[dict[int, int]] = [{}] * n + [{0: 1}]
     spent = 1  # the budgets that d_i..d_{N-1} can spend
     seen = set()
-    listed = (None, None)
     for i in range(n - 1, 0, -1):
         w = weights[i - 1]
         if w not in seen:
             seen.add(w)
             spent = close(spent, w, False)
-        if listed[0] is not left[i - 1] or listed[1] is not spent:  # either set changed
-            listed = (left[i - 1], spent)
-            budgets = _set_bits(left[i - 1] & spent)
         below, row = table[i + 1], {}
-        for b in budgets:
+        for b in _set_bits(left[i - 1] & spent):
             m = below.get(b, 0)
             x = row.get(b - w, 0)
             if x:
