@@ -268,8 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: The options that take no value.
-_FLAGS = frozenset({"-h", "--help", "--json", "--genus0-only"})
+#: The long options that take no value; a test checks them against the parser.
+_FLAGS = frozenset({"--help", "--json", "--genus0-only"})
 
 
 def _shield_leading_minus(argv: list[str]) -> list[str]:
@@ -277,19 +277,24 @@ def _shield_leading_minus(argv: list[str]) -> list[str]:
 
     argparse takes a token that starts with ``-`` for an option unless it is
     a plain negative number, and no option here starts with a minus and a
-    digit.  Such a token is attached with ``=`` to the option before it when
-    that option takes a value, and is otherwise moved behind a ``--`` at the
-    end, where it stays positional.  An argv that has ``--`` already is
-    left as it is.
+    digit.  Such a token after the subcommand is attached with ``=`` to the
+    option before it when that option takes a value, and is otherwise moved
+    behind a ``--`` at the end, where it stays positional.  An option that
+    is a flag or a prefix of one (argparse reads abbreviations) counts as a
+    flag; the one such prefix that takes a value is ``--g``, for which no
+    literal of this kind is a genus.  Tokens up to the subcommand, and an
+    argv that has ``--`` already, are left as they are.
     """
     if "--" in argv:
         return argv
-    kept: list[str] = []
+    start = next((k + 1 for k, token in enumerate(argv) if token[:1] != "-"), len(argv))
+    kept = argv[:start]
     moved: list[str] = []
-    for token in argv:
+    for token in argv[start:]:
         if token[:1] == "-" and token[1:2].isdigit() and not token[1:].isdigit():
-            before = kept[-1] if kept else ""
-            if before.startswith("--") and "=" not in before and before not in _FLAGS:
+            before = kept[-1]
+            if (before.startswith("--") and "=" not in before
+                    and not any(flag.startswith(before) for flag in _FLAGS)):
                 kept[-1] = f"{before}={token}"
             else:
                 moved.append(token)

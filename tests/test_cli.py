@@ -6,6 +6,7 @@ installed console script.  The JSON forms are round-tripped through the
 library parsers to keep the documented schemas honest.
 """
 
+import argparse
 import json
 import random
 import shutil
@@ -14,7 +15,7 @@ import subprocess
 import pytest
 
 from stackbrauer.abelian import IntegerMatrix
-from stackbrauer.cli import main, parse_matrix
+from stackbrauer.cli import _FLAGS, _build_parser, main, parse_matrix
 from stackbrauer.covers import AdmissibleDatum, sector_report
 from stackbrauer.rootdata import SemisimpleGroupSpec
 
@@ -267,6 +268,27 @@ class TestLeadingMinus:
         code, out, err = run_cli(capsys, "enumerate", "--g", "2", "--N", "2", "--gq", "-1")
         assert (code, out) == (2, "")
         assert err == "error: quotient genus filter must be nonnegative\n"
+
+    def test_abbreviated_flag(self, capsys):
+        want = run_cli(capsys, "snf", "--json", "--", "-1,0;0,1")
+        assert want[0] == 0
+        assert run_cli(capsys, "snf", "--js", "-1,0;0,1") == want
+
+    def test_literal_before_subcommand_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["-1,0;0,1", "snf"])
+        assert exc.value.code == 2
+
+    def test_flags_match_parser(self):
+        # argparse lists its actions only in private attributes
+        parser = _build_parser()
+        parsers = [parser]
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+        flags = {option for p in parsers for action in p._actions if action.nargs == 0
+                 for option in action.option_strings if option.startswith("--")}
+        assert _FLAGS == flags
 
 
 class TestParserBehaviour:
