@@ -139,13 +139,6 @@ class IntegerMatrix:
                for i in range(self.rows)]
         return IntegerMatrix(out, cols=other.cols)
 
-    def apply(self, vector) -> list[int]:
-        """Matrix-vector product (vector as a plain list of ints)."""
-        vec = list(vector)
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return [sum(self[i, k] * vec[k] for k in range(self.cols)) for i in range(self.rows)]
-
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix([[self[i, j] for i in range(self.rows)] for j in range(self.cols)],
                              cols=self.rows)

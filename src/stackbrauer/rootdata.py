@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .abelian import (
     FiniteAbelianGroup,
@@ -34,7 +35,6 @@ from .abelian import (
     cokernel,
     dual_group,
     generated_subgroup,
-    smith_normal_form,
 )
 
 __all__ = [
@@ -160,38 +160,32 @@ class Center:
       whole direct sum.
 
     User input (generators of central subgroups) is in per-factor
-    coordinates; everything downstream uses the canonical group.  The two
-    are related by the unimodular row transform ``U`` from the Smith normal
-    form ``U diag(moduli) V = diag(d)``, whose inverse is
-    ``diag(moduli) V diag(d)^-1``.
+    coordinates; everything downstream uses the canonical group.  The
+    gcd/lcm steps that :func:`center` records convert between the two.
     """
 
     factors: tuple[SimpleType, ...]
     moduli: tuple[int, ...]
     group: FiniteAbelianGroup
-    _forward: IntegerMatrix   # rows of SNF(diag(moduli)): per-factor -> full canonical
-    _backward: IntegerMatrix  # its exact inverse
-    _keep: tuple[int, ...]    # canonical coordinates with modulus > 1
+    _steps: tuple[tuple[int, int, int, int, int, int], ...]
 
     def element(self, per_factor_coords) -> GroupElement:
         """Canonical element from per-factor coordinates."""
-        coords = [int(x) for x in per_factor_coords]
-        if len(coords) != len(self.moduli):
-            raise ValueError(
-                f"expected {len(self.moduli)} per-factor coordinates, got {len(coords)}"
-            )
-        full = self._forward.apply(coords)
-        return GroupElement(self.group, tuple(full[i] for i in self._keep))
+        x = [int(v) for v in per_factor_coords]
+        if len(x) != len(self.moduli):
+            raise ValueError(f"expected {len(self.moduli)} per-factor coordinates, got {len(x)}")
+        for i, j, s, t, a, b in self._steps:
+            x[i], x[j] = s * x[i] + t * x[j], a * x[j] - b * x[i]
+        return GroupElement(self.group, tuple(x[len(x) - self.group.rank:]))
 
     def per_factor_coords(self, x: GroupElement) -> tuple[int, ...]:
         """Inverse of :meth:`element` (coordinates reduced modulo ``moduli``)."""
         if x.group != self.group:
             raise ValueError("element does not belong to this center")
-        full = [0] * len(self.moduli)
-        for idx, pos in enumerate(self._keep):
-            full[pos] = x.coords[idx]
-        raw = self._backward.apply(full)
-        return tuple(r % m for r, m in zip(raw, self.moduli))
+        y = [0] * (len(self.moduli) - self.group.rank) + list(x.coords)
+        for i, j, s, t, a, b in reversed(self._steps):
+            y[i], y[j] = a * y[i] - t * y[j], b * y[i] + s * y[j]
+        return tuple(v % m for v, m in zip(y, self.moduli))
 
     def full_generators(self) -> tuple[tuple[int, ...], ...]:
         """Per-factor standard basis vectors; they generate the whole center."""
@@ -200,7 +194,14 @@ class Center:
 
 
 def center(factors) -> Center:
-    """Center of the simply connected group with the given simple factors."""
+    """Center of the simply connected group with the given simple factors.
+
+    One pass over the pairs ``i < j`` sorts ``moduli`` into a divisibility
+    chain (Newman, *Integral Matrices*, II): where ``m_i`` does not divide
+    ``m_j``, with ``g`` their gcd, ``m_i = a g``, ``m_j = b g`` and ``s a + t b = 1``,
+    the step ``(i, j, s, t, a, b)`` maps ``Z/m_i + Z/m_j`` onto ``Z/g + Z/(a m_j)``
+    by ``(x_i, x_j) -> (s x_i + t x_j, a x_j - b x_i)``; leading 1s are dropped.
+    """
     factors = tuple(factors)
     moduli: list[int] = []
     for t in factors:
@@ -210,20 +211,17 @@ def center(factors) -> Center:
         if free != 0:
             raise AssertionError(f"Cartan matrix of {t} is singular")
         moduli.extend(torsion.invariant_factors)
-    dec = smith_normal_form(IntegerMatrix.diagonal(moduli))
-    keep = tuple(i for i, x in enumerate(dec.d) if x > 1)
-    group = FiniteAbelianGroup(tuple(dec.d[i] for i in keep))
-    # U^-1 = diag(moduli) V diag(d)^-1 is integral, so each division is exact
-    backward = [[m * v // x for v, x in zip(row, dec.d)]
-                for m, row in zip(moduli, dec.right.row_lists())]
-    return Center(
-        factors=factors,
-        moduli=tuple(moduli),
-        group=group,
-        _forward=dec.left,
-        _backward=IntegerMatrix(backward, cols=len(moduli)),
-        _keep=keep,
-    )
+    chain, steps = list(moduli), []
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            if chain[j] % chain[i]:
+                g = gcd(chain[i], chain[j])
+                a, b = chain[i] // g, chain[j] // g
+                s = pow(a, -1, b)
+                steps.append((i, j, s, (1 - s * a) // b, a, b))
+                chain[i], chain[j] = g, a * chain[j]
+    group = FiniteAbelianGroup(tuple(m for m in chain if m > 1))
+    return Center(factors, tuple(moduli), group, tuple(steps))
 
 
 def center_of_simply_connected(factors) -> FiniteAbelianGroup:
@@ -238,6 +236,12 @@ def center_of_simply_connected(factors) -> FiniteAbelianGroup:
 # ---------------------------------------------------------------------------
 # group specifications and Br(BG)
 # ---------------------------------------------------------------------------
+
+
+def _exact_int(x) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{x!r} is not an integer")
+    return x
 
 
 @dataclass(frozen=True)
@@ -292,17 +296,19 @@ class SemisimpleGroupSpec:
         """Parse ``{"factors": [...], "central_generators": [[...], ...]}``.
 
         Factor entries may be names (``"A3"``) or family/rank pairs
-        (``["A", 3]``).
+        (``["A", 3]``).  Raises ``ValueError`` unless ``data`` is a dict and
+        every rank and coordinate is an ``int`` (a ``bool`` is not).
         """
-        raw = data.get("factors", [])
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         factors = []
-        for item in raw:
+        for item in data.get("factors", []):
             if isinstance(item, str):
                 factors.append(SimpleType.parse(item))
             else:
                 fam, rank = item
-                factors.append(SimpleType(str(fam), int(rank)))
-        gens = tuple(tuple(int(x) for x in g) for g in data.get("central_generators", []))
+                factors.append(SimpleType(str(fam), _exact_int(rank)))
+        gens = tuple(tuple(_exact_int(x) for x in g) for g in data.get("central_generators", []))
         return cls(tuple(factors), gens)
 
     def to_json(self) -> dict:

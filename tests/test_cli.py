@@ -120,6 +120,22 @@ class TestBrBgCommand:
         assert run_cli(capsys, "br-bg", "--type", "A1", "--center", "half")[0] == 2
         assert run_cli(capsys, "br-bg", "--spec", "not json")[0] == 2
 
+    @pytest.mark.parametrize("spec", [
+        "[1,2]",
+        "null",
+        "3",
+        '"A1"',
+        '{"factors": ["A1"], "central_generators": [[1e400]]}',
+        '{"factors": [["A", 1.5]]}',
+        '{"factors": [["A", true]]}',
+        '{"factors": ["A1"], "central_generators": [[1.9]]}',
+    ], ids=["list", "null", "number", "string", "overflow", "float-rank", "bool-rank",
+            "float-coordinate"])
+    def test_malformed_spec_exits_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "br-bg", "--spec", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad group spec: ") and err.count("\n") == 1
+
     def test_generator_arity_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "br-bg", "--type", "A1", "--center", "gens=1,0")
         assert code == 2 and "error:" in err

@@ -456,6 +456,30 @@ class TestDecomposeInertia:
             decompose_inertia(g, n)
         assert counted == [0]
 
+    def test_unit_relabelling_maps_sectors_onto_themselves(self):
+        # Another generator u of Z/N moves d_i to position u*i mod N; the data
+        # of (g, N) are closed under it (so it permutes them), and neither the
+        # connectedness verdict nor the Brauer class can see it.
+        images = 0
+        for g in range(2, 10):
+            for n in range(2, 4 * g + 3):
+                reports = {r.datum: r for r in decompose_inertia(g, n)}
+                for u in (u for u in range(1, n) if gcd(u, n) == 1):
+                    for a, r in reports.items():
+                        degs = [0] * (n - 1)
+                        for i, d in enumerate(a.branch_degrees, start=1):
+                            degs[u * i % n - 1] = d
+                        image = AdmissibleDatum(a.quotient_genus, n, tuple(degs))
+                        assert image in reports, (g, n, u, str(a))
+                        moved = reports[image]
+                        assert (moved.gcd_k, moved.connected) == (r.gcd_k, r.connected), str(a)
+                        assert (moved.brauer is None) == (r.brauer is None), str(a)
+                        if r.brauer is not None:
+                            assert moved.brauer.h2_group == r.brauer.h2_group, str(a)
+                            assert moved.brauer.class_nontrivial == r.brauer.class_nontrivial
+                        images += 1
+        assert images == 10762
+
 
 def test_docstring_examples():
     import doctest

@@ -8,9 +8,13 @@ order ``|det|``, so the center order must match it for every type.
 """
 
 import random
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stackbrauer.abelian as abelian
 import stackbrauer.rootdata as rootdata
 from stackbrauer.abelian import (
     FiniteAbelianGroup,
@@ -201,6 +205,47 @@ class TestCenter:
         c = center([SimpleType("E", 8), SimpleType("A", 1), SimpleType("G", 2)])
         assert c.moduli == (2,)
         assert c.group.invariant_factors == (2,)
+
+    def test_center_needs_no_smith_transform(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("the center needs no Smith transform")
+
+        monkeypatch.setattr(abelian, "smith_normal_form", refuse)
+        assert not hasattr(rootdata, "smith_normal_form")  # no copy escapes the patch
+        names = ["A3", "D4", "A2", "A5"]
+        factors = [SimpleType.parse(n) for n in names]
+        assert center(factors).group.invariant_factors == (2, 2, 6, 12)
+        spec = SemisimpleGroupSpec.adjoint(factors)
+        assert brauer_group_of_bg(spec).invariant_factors == (2, 2, 6, 12)
+        spec = SemisimpleGroupSpec(tuple(factors), ((2, 1, 0, 1, 3),))
+        assert brauer_group_of_bg(spec).invariant_factors == (6,)
+
+
+# Types whose centers exercise every gcd/lcm case: cyclic of orders 2-12,
+# Z/2 x Z/2 (D4, D6) and trivial (G2).
+ISO_TYPES = [f"A{n}" for n in range(1, 12)] + ["B3", "C4", "D4", "D5", "D6", "D7",
+                                               "E6", "E7", "G2"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(ISO_TYPES), min_size=1, max_size=6), st.data())
+def test_center_element_is_isomorphism(names, data):
+    # Checked through group arithmetic alone, not through per_factor_coords:
+    # an additive map that kills each m_i e_i and whose images of the e_i
+    # generate a group of the same order is an isomorphism.
+    c = center([SimpleType.parse(n) for n in names])
+    n = len(c.moduli)
+    assert c.group.order() == prod(c.moduli)
+    vectors = st.lists(st.integers(-100, 100), min_size=n, max_size=n)
+    u, v = data.draw(vectors), data.draw(vectors)
+    assert c.element([a + b for a, b in zip(u, v)]) == c.element(u) + c.element(v)
+    images = []
+    for i, m in enumerate(c.moduli):
+        unit = [1 if j == i else 0 for j in range(n)]
+        assert c.element([m * x for x in unit]).is_identity
+        images.append(c.element(unit))
+        assert images[-1].element_order() == m
+    assert generated_subgroup(c.group, images).order() == c.group.order()
 
 
 # ---------------------------------------------------------------------------
