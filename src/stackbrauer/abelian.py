@@ -89,10 +89,11 @@ class IntegerMatrix:
         for row in data:
             if len(row) != ncols:
                 raise ValueError("rows of unequal length")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError(f"matrix entry {x!r} is not an integer")
-                flat.append(x)
+            if not set(map(type, row)) <= {int}:
+                for x in row:
+                    if not isinstance(x, int) or isinstance(x, bool):
+                        raise ValueError(f"matrix entry {x!r} is not an integer")
+            flat.extend(row)
         self.rows = nrows
         self.cols = ncols
         self._entries = tuple(flat)
@@ -237,8 +238,12 @@ def _find_pivot(m: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, 
 
 def _smith_sweep(w: list[list[int]], rows: int, cols: int) -> tuple[int, ...]:
     """Diagonalize the top-left ``rows x cols`` block of ``w`` in place and
-    return its diagonal.  Row steps act on whole rows and column steps on
-    every row, so a border right of or below the block records them.
+    return its diagonal; a border right of or below the block records the
+    steps.  At pivot ``t`` the rows above are zero from column ``t`` on, so
+    row steps run over rows ``t+1..`` and columns ``t..``, and a column swap
+    over rows ``t..``.  Column steps wait for a clean row clear, which
+    leaves column ``t`` zero in the block but for the pivot, so they change
+    only row ``t`` and the border rows below the block.
 
     Pivots are chosen as the smallest-in-absolute-value nonzero entry of the
     trailing submatrix, which keeps intermediate entries small in practice.
@@ -253,7 +258,7 @@ def _smith_sweep(w: list[list[int]], rows: int, cols: int) -> tuple[int, ...]:
     the identity but for its last column, so every pivot is a unit on the
     diagonal and the sweep is one column step per entry of that column.
     """
-    limit = min(rows, cols)
+    limit, border = min(rows, cols), w[rows:]
     for t in range(limit):
         while True:
             pivot = _find_pivot(w, t, rows, cols)
@@ -262,7 +267,7 @@ def _smith_sweep(w: list[list[int]], rows: int, cols: int) -> tuple[int, ...]:
             pi, pj = pivot
             w[t], w[pi] = w[pi], w[t]
             if pj != t:
-                for row in w:
+                for row in w[t:]:
                     row[t], row[pj] = row[pj], row[t]
             top = w[t]
             p = top[t]
@@ -271,23 +276,21 @@ def _smith_sweep(w: list[list[int]], rows: int, cols: int) -> tuple[int, ...]:
             # rather than keep grinding with a stale pivot; re-picking every
             # sweep is what keeps intermediate entries from exploding.
             clean = True
-            for i in range(rows):
-                if i == t or w[i][t] == 0:
-                    continue
-                q = w[i][t] // p
-                w[i] = [x - q * y for x, y in zip(w[i], top)]
-                if w[i][t] != 0:
-                    clean = False
+            live = top[t:]
+            for row in w[t + 1:rows]:
+                if row[t]:
+                    q = row[t] // p
+                    row[t:] = [x - q * y for x, y in zip(row[t:], live)]
+                    clean = clean and not row[t]
             if not clean:
                 continue
-            for j in range(cols):
-                if j == t or top[j] == 0:
-                    continue
-                q = top[j] // p
-                for row in w:
-                    row[j] -= q * row[t]
-                if top[j] != 0:
-                    clean = False
+            for j in range(t + 1, cols):
+                if top[j]:
+                    q = top[j] // p
+                    top[j] -= q * p
+                    for row in border:
+                        row[j] -= q * row[t]
+                    clean = clean and not top[j]
             if not clean:
                 continue
             # Pivot cross is clear.  A unit pivot divides every entry left;
@@ -317,15 +320,16 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, s, t) if a >= 0 else (-a, -s, -t)
 
 
-def _reduce(row: list[int], pivots: dict[int, list[int]], columns) -> list[int]:
-    """``row`` with its entry in each pivot column of ``columns``, taken in
-    increasing order, reduced into ``[0, p)`` by that column's pivot row."""
+def _reduce(row: list[int], pivots: dict[int, list[int]], columns, hi: int) -> None:
+    """Reduce ``row`` in place: its entry in each pivot column of ``columns``,
+    taken in increasing order, goes into ``[0, p)`` by that column's pivot
+    row.  Pivot row ``k`` is zero left of ``k`` and both rows are zero from
+    ``hi`` on, so each step runs over ``[k, hi)``."""
     for k in columns:
         top = pivots[k]
         q = row[k] // top[k]
         if q:
-            row = [x - q * y for x, y in zip(row, top)]
-    return row
+            row[k:hi] = [x - q * y for x, y in zip(row[k:hi], top[k:hi])]
 
 
 def _hermite(w: list[list[int]], rows: int, cols: int) -> None:
@@ -340,23 +344,30 @@ def _hermite(w: list[list[int]], rows: int, cols: int) -> None:
     entries above its pivot into ``[0, p)``, so entries stay the size of
     the block's minors instead of growing with each step.  Echelon rows
     come first, in pivot order; rows that vanish in the block (the left
-    kernel) go below them.
+    kernel) go below them.  A step on column ``j`` runs over ``[j, hi)``:
+    both rows are zero left of ``j``, and every row inserted so far is zero
+    from ``hi`` on (on ``[A | I]``, ``hi`` grows by one column a row).
     """
     pivots: dict[int, list[int]] = {}
     kernel = []
+    hi = 0
 
     def settle(j: int) -> None:
         order = sorted(pivots)
         at = order.index(j)
-        pivots[j] = _reduce(pivots[j], pivots, order[at + 1:])
+        _reduce(pivots[j], pivots, order[at + 1:], hi)
         p = pivots[j][j]
         for k in order[:at]:
             # A row whose entry is already in [0, p) needs no step: it is
             # unchanged, and pivot rows are kept reduced right of their pivot.
             if pivots[k][j] // p:
-                pivots[k] = _reduce(pivots[k], pivots, order[at:])
+                _reduce(pivots[k], pivots, order[at:], hi)
 
     for row in w[:rows]:
+        end = len(row)
+        while end > hi and not row[end - 1]:
+            end -= 1
+        hi = end
         for j in range(cols):
             e = row[j]
             if e == 0:
@@ -367,14 +378,15 @@ def _hermite(w: list[list[int]], rows: int, cols: int) -> None:
                 settle(j)
                 break
             p = top[j]
+            old, new = top[j:hi], row[j:hi]
             if e % p == 0:
                 q = e // p
-                row = [x - q * y for x, y in zip(row, top)]
+                row[j:hi] = [y - q * x for x, y in zip(old, new)]
             else:
                 g, s, t = _xgcd(p, e)
                 a, b = p // g, e // g
-                pivots[j] = [s * x + t * y for x, y in zip(top, row)]
-                row = [a * y - b * x for x, y in zip(top, row)]
+                top[j:hi] = [s * x + t * y for x, y in zip(old, new)]
+                row[j:hi] = [a * y - b * x for x, y in zip(old, new)]
                 settle(j)
         else:
             kernel.append(row)
@@ -524,12 +536,11 @@ class GroupElement:
         raw = tuple(self.coords)
         if len(raw) != len(facs):
             raise ValueError(f"expected {len(facs)} coordinates, got {len(raw)}")
-        reduced = []
-        for x, f in zip(raw, facs):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"coordinate {x!r} is not an integer")
-            reduced.append(x % f)
-        object.__setattr__(self, "coords", tuple(reduced))
+        if not set(map(type, raw)) <= {int}:
+            for x in raw:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise ValueError(f"coordinate {x!r} is not an integer")
+        object.__setattr__(self, "coords", tuple(x % f for x, f in zip(raw, facs)))
 
     def _check(self, other: "GroupElement") -> None:
         if not isinstance(other, GroupElement):
@@ -668,7 +679,8 @@ def _structure(cofactors, memo: dict) -> FiniteAbelianGroup:
     keep = [i for i, row in enumerate(cofactors) if row[i] != 1]
     rest = tuple(tuple(cofactors[k][j] for j in keep) for k in keep)
     if rest not in memo:
-        memo[rest] = cokernel(IntegerMatrix(rest, cols=len(keep)))[0]
+        d = _smith_sweep([list(row) for row in rest], len(keep), len(keep))
+        memo[rest] = FiniteAbelianGroup(tuple(x for x in d if x > 1))
     return memo[rest]
 
 
@@ -715,7 +727,11 @@ def enumerate_subgroups(group: FiniteAbelianGroup,
     Each is one Hermite normal form ``H`` (see :class:`Subgroup`), built from
     the bottom row up: row ``i`` takes every pivot ``h | f_i`` and every tail
     reduced modulo the pivots below, and is kept when row ``i`` of
-    ``diag(f) H^-1`` is integral.  Distinct forms are distinct subgroups.
+    ``diag(f) H^-1`` is integral.  That row solves ``x H = f_i e_i``, which
+    is linear in ``x_i = f_i / h``: one forward solve ``z`` with pivot 1 per
+    tail serves every pivot, as ``h`` works exactly when ``z`` is integral
+    and ``h`` divides ``gcd(z)``, and its row is then ``z / h``.  Distinct
+    forms are distinct subgroups.
     The generators are the rows of ``H`` nonzero modulo ``f``; the result is
     sorted by ``(order, hnf)``.  Raises ``ValueError`` when the group order
     exceeds ``max_order``, and as soon as more than ``SUBGROUP_COUNT_BOUND``
@@ -736,11 +752,14 @@ def enumerate_subgroups(group: FiniteAbelianGroup,
         grown = []
         for rows, cofactors in blocks:
             for tail in itertools.product(*(range(row[j]) for j, row in enumerate(rows, i + 1))):
+                x = _cofactor_row(facs, ((0,) * i + (1,) + tail,) + rows)
+                if x is None:
+                    continue
+                g = gcd(*x)
                 for h in pivots:
-                    block = ((0,) * i + (h,) + tail,) + rows
-                    x = _cofactor_row(facs, block)
-                    if x is not None:
-                        grown.append((block, (x,) + cofactors))
+                    if g % h == 0:
+                        grown.append((((0,) * i + (h,) + tail,) + rows,
+                                      (tuple(v // h for v in x),) + cofactors))
                         if len(grown) > SUBGROUP_COUNT_BOUND:
                             raise ValueError(f"{group} has over {SUBGROUP_COUNT_BOUND} subgroups")
         blocks = grown

@@ -32,7 +32,7 @@ from .abelian import (
     GroupElement,
     IntegerMatrix,
     Subgroup,
-    cokernel,
+    _smith_sweep,
     dual_group,
     generated_subgroup,
 )
@@ -110,6 +110,26 @@ def _dynkin_edges(t: SimpleType) -> list[tuple[int, int]]:
     raise AssertionError(t)
 
 
+def _cartan_rows(t: SimpleType) -> list[list[int]]:
+    if t.family == "F":
+        return [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+    if t.family == "G":
+        return [[2, -1], [-3, 2]]
+    n = t.rank
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = 2
+    for i, j in _dynkin_edges(t):
+        m[i][j] = m[j][i] = -1
+    if t.family == "B":
+        # last simple root short: the double bond sits in the final column
+        m[n - 2][n - 1] = -2
+    elif t.family == "C":
+        # last simple root long: transpose of the B pattern
+        m[n - 1][n - 2] = -2
+    return m
+
+
 def cartan_matrix(t: SimpleType) -> IntegerMatrix:
     """Cartan matrix of a simple type, Bourbaki numbering.
 
@@ -118,27 +138,7 @@ def cartan_matrix(t: SimpleType) -> IntegerMatrix:
     >>> cartan_matrix(SimpleType("G", 2)).row_lists()
     [[2, -1], [-3, 2]]
     """
-    if t.family == "F":
-        return IntegerMatrix([
-            [2, -1, 0, 0],
-            [-1, 2, -2, 0],
-            [0, -1, 2, -1],
-            [0, 0, -1, 2],
-        ])
-    if t.family == "G":
-        return IntegerMatrix([[2, -1], [-3, 2]])
-    n = t.rank
-    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j in _dynkin_edges(t):
-        m[i][j] = -1
-        m[j][i] = -1
-    if t.family == "B":
-        # last simple root short: the double bond sits in the final column
-        m[n - 2][n - 1] = -2
-    elif t.family == "C":
-        # last simple root long: transpose of the B pattern
-        m[n - 1][n - 2] = -2
-    return IntegerMatrix(m, cols=n)
+    return IntegerMatrix(_cartan_rows(t), cols=t.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +167,15 @@ class Center:
     factors: tuple[SimpleType, ...]
     moduli: tuple[int, ...]
     group: FiniteAbelianGroup
-    _steps: tuple[tuple[int, int, int, int, int, int], ...]
+    _steps: tuple[tuple[int, int, int, int, int, int, int], ...]
 
     def element(self, per_factor_coords) -> GroupElement:
         """Canonical element from per-factor coordinates."""
         x = [int(v) for v in per_factor_coords]
         if len(x) != len(self.moduli):
             raise ValueError(f"expected {len(self.moduli)} per-factor coordinates, got {len(x)}")
-        for i, j, s, t, a, b in self._steps:
-            x[i], x[j] = s * x[i] + t * x[j], a * x[j] - b * x[i]
+        for i, j, s, t, a, b, g in self._steps:
+            x[i], x[j] = (s * x[i] + t * x[j]) % g, (a * x[j] - b * x[i]) % (a * b * g)
         return GroupElement(self.group, tuple(x[len(x) - self.group.rank:]))
 
     def per_factor_coords(self, x: GroupElement) -> tuple[int, ...]:
@@ -183,9 +183,9 @@ class Center:
         if x.group != self.group:
             raise ValueError("element does not belong to this center")
         y = [0] * (len(self.moduli) - self.group.rank) + list(x.coords)
-        for i, j, s, t, a, b in reversed(self._steps):
-            y[i], y[j] = a * y[i] - t * y[j], b * y[i] + s * y[j]
-        return tuple(v % m for v, m in zip(y, self.moduli))
+        for i, j, s, t, a, b, g in reversed(self._steps):
+            y[i], y[j] = (a * y[i] - t * y[j]) % (a * g), (b * y[i] + s * y[j]) % (b * g)
+        return tuple(y)
 
     def full_generators(self) -> tuple[tuple[int, ...], ...]:
         """Per-factor standard basis vectors; they generate the whole center."""
@@ -199,18 +199,20 @@ def center(factors) -> Center:
     One pass over the pairs ``i < j`` sorts ``moduli`` into a divisibility
     chain (Newman, *Integral Matrices*, II): where ``m_i`` does not divide
     ``m_j``, with ``g`` their gcd, ``m_i = a g``, ``m_j = b g`` and ``s a + t b = 1``,
-    the step ``(i, j, s, t, a, b)`` maps ``Z/m_i + Z/m_j`` onto ``Z/g + Z/(a m_j)``
+    the step ``(i, j, s, t, a, b, g)`` maps ``Z/m_i + Z/m_j`` onto ``Z/g + Z/(a m_j)``
     by ``(x_i, x_j) -> (s x_i + t x_j, a x_j - b x_i)``; leading 1s are dropped.
+    :class:`Center` reduces both coordinates after every step, so they stay
+    below the moduli however many steps there are.
     """
     factors = tuple(factors)
     moduli: list[int] = []
     for t in factors:
         if not isinstance(t, SimpleType):
             raise TypeError("factors must be SimpleType instances")
-        torsion, free = cokernel(cartan_matrix(t))
-        if free != 0:
+        d = _smith_sweep(_cartan_rows(t), t.rank, t.rank)
+        if 0 in d:
             raise AssertionError(f"Cartan matrix of {t} is singular")
-        moduli.extend(torsion.invariant_factors)
+        moduli.extend(x for x in d if x > 1)
     chain, steps = list(moduli), []
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
@@ -218,7 +220,7 @@ def center(factors) -> Center:
                 g = gcd(chain[i], chain[j])
                 a, b = chain[i] // g, chain[j] // g
                 s = pow(a, -1, b)
-                steps.append((i, j, s, (1 - s * a) // b, a, b))
+                steps.append((i, j, s, (1 - s * a) // b, a, b, g))
                 chain[i], chain[j] = g, a * chain[j]
     group = FiniteAbelianGroup(tuple(m for m in chain if m > 1))
     return Center(factors, tuple(moduli), group, tuple(steps))
@@ -241,6 +243,12 @@ def center_of_simply_connected(factors) -> FiniteAbelianGroup:
 def _exact_int(x) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
+def _array(x, name: str) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{name} must be a JSON array, got {type(x).__name__}")
     return x
 
 
@@ -296,19 +304,21 @@ class SemisimpleGroupSpec:
         """Parse ``{"factors": [...], "central_generators": [[...], ...]}``.
 
         Factor entries may be names (``"A3"``) or family/rank pairs
-        (``["A", 3]``).  Raises ``ValueError`` unless ``data`` is a dict and
-        every rank and coordinate is an ``int`` (a ``bool`` is not).
+        (``["A", 3]``).  Raises ``ValueError`` unless ``data`` is a dict, both
+        fields and each pair and generator are lists, and every rank and
+        coordinate is an ``int`` (a ``bool`` is not).
         """
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         factors = []
-        for item in data.get("factors", []):
+        for item in _array(data.get("factors", []), "factors"):
             if isinstance(item, str):
                 factors.append(SimpleType.parse(item))
             else:
-                fam, rank = item
+                fam, rank = _array(item, "each non-name factor")
                 factors.append(SimpleType(str(fam), _exact_int(rank)))
-        gens = tuple(tuple(_exact_int(x) for x in g) for g in data.get("central_generators", []))
+        gens = tuple(tuple(_exact_int(x) for x in _array(g, "each central generator"))
+                     for g in _array(data.get("central_generators", []), "central_generators"))
         return cls(tuple(factors), gens)
 
     def to_json(self) -> dict:

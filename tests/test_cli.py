@@ -136,6 +136,22 @@ class TestBrBgCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: bad group spec: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec, field", [
+        ('{"factors": "A12"}', "factors"),
+        ('{"factors": {"A1": 1}}', "factors"),
+        ('{"factors": [5]}', "factor"),
+        ('{"factors": ["A1"], "central_generators": 5}', "central_generators"),
+        ('{"factors": ["A1"], "central_generators": "1"}', "central_generators"),
+        ('{"factors": ["A1"], "central_generators": [1]}', "central generator"),
+        ('{"factors": ["A1"], "central_generators": ["1"]}', "central generator"),
+    ], ids=["factors-string", "factors-object", "factor-number", "generators-number",
+            "generators-string", "generator-number", "generator-string"])
+    def test_non_array_spec_field_exits_2(self, capsys, spec, field):
+        code, out, err = run_cli(capsys, "br-bg", "--spec", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad group spec: ") and err.count("\n") == 1
+        assert f"{field} must be a JSON array" in err
+
     def test_generator_arity_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "br-bg", "--type", "A1", "--center", "gens=1,0")
         assert code == 2 and "error:" in err

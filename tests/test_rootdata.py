@@ -165,6 +165,16 @@ class TestCenter:
         assert center_of_simply_connected([d4, a2]).invariant_factors == (2, 6)
         assert center_of_simply_connected([]).is_trivial
 
+    def test_classical_centers_at_high_rank(self):
+        # The classical rule: Z/(n+1) for A_n, Z/2 for B_n and C_n, and for
+        # D_n Z/4 when n is odd, Z/2 x Z/2 when n is even.
+        rule = {"A": lambda n: (n + 1,), "B": lambda n: (2,), "C": lambda n: (2,),
+                "D": lambda n: (4,) if n % 2 else (2, 2)}
+        for family, want in rule.items():
+            for n in [*range(9, 41), *range(116, 131)]:
+                got = center_of_simply_connected([SimpleType(family, n)]).invariant_factors
+                assert got == want(n), (family, n)
+
     def test_factors_must_be_simple_types(self):
         with pytest.raises(TypeError):
             center(["A1"])
