@@ -461,7 +461,7 @@ class FiniteAbelianGroup:
         """Canonical form of ``Z/m1 x ... x Z/mn`` for arbitrary ``mi >= 1``.
 
         The moduli need not form a chain: this is the cokernel of
-        ``diag(m1, ..., mn)``.
+        ``diag(m1, ..., mn)``, found by :func:`_cyclic_chain`.
 
         >>> FiniteAbelianGroup.from_cyclic_moduli([2, 3]).invariant_factors
         (6,)
@@ -469,7 +469,7 @@ class FiniteAbelianGroup:
         moduli = [int(m) for m in moduli]
         if any(m < 1 for m in moduli):
             raise ValueError("cyclic moduli must be positive integers")
-        return cokernel(IntegerMatrix.diagonal(moduli))[0]
+        return _cyclic_chain(moduli)[0]
 
     @property
     def rank(self) -> int:
@@ -507,6 +507,27 @@ class FiniteAbelianGroup:
         if self.is_trivial:
             return "trivial"
         return " x ".join(f"Z/{f}" for f in self.invariant_factors)
+
+
+def _cyclic_chain(moduli) -> tuple[FiniteAbelianGroup, tuple[tuple[int, ...], ...]]:
+    """``Z/m_1 + ... + Z/m_n`` in invariant-factor form, and the steps there.
+
+    One pass over the pairs ``i < j`` sorts the moduli into a divisibility
+    chain (Newman, *Integral Matrices*, II): where ``m_i`` does not divide
+    ``m_j``, with ``g`` their gcd, ``m_i = a g``, ``m_j = b g`` and ``s a + t b = 1``,
+    the step ``(i, j, s, t, a, b, g)`` maps ``Z/m_i + Z/m_j`` onto ``Z/g + Z/(a m_j)``
+    by ``(x_i, x_j) -> (s x_i + t x_j, a x_j - b x_i)``; leading 1s are dropped.
+    """
+    chain, steps = list(moduli), []
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            if chain[j] % chain[i]:
+                g = gcd(chain[i], chain[j])
+                a, b = chain[i] // g, chain[j] // g
+                s = pow(a, -1, b)
+                steps.append((i, j, s, (1 - s * a) // b, a, b, g))
+                chain[i], chain[j] = g, a * chain[j]
+    return FiniteAbelianGroup(tuple(m for m in chain if m > 1)), tuple(steps)
 
 
 def dual_group(b: FiniteAbelianGroup) -> FiniteAbelianGroup:
@@ -687,9 +708,8 @@ def _structure(cofactors, memo: dict) -> FiniteAbelianGroup:
 def generated_subgroup(group: FiniteAbelianGroup, generators) -> Subgroup:
     """Subgroup of ``group`` generated by the given elements.
 
-    Row Euclid brings ``[diag(f); generators]`` to Hermite normal form one
-    generator at a time; entries right of the column being cleared stay
-    reduced modulo ``f``, as ``diag(f) Z^n`` lies in the lattice.
+    ``hnf`` is the first ``n`` rows of the reduced row Hermite normal form of
+    ``[diag(f); generators]`` (:func:`_hermite`); the rows below vanish.
 
     >>> g = FiniteAbelianGroup((2, 4))
     >>> generated_subgroup(g, [g.element([1, 2])]).hnf
@@ -704,18 +724,10 @@ def generated_subgroup(group: FiniteAbelianGroup, generators) -> Subgroup:
 
     facs = group.invariant_factors
     n = len(facs)
-    basis = [[f if j == i else 0 for j in range(n)] for i, f in enumerate(facs)]
-    for g in generators:
-        v = list(g.coords)
-        for i in range(n):
-            while v[i]:
-                q = basis[i][i] // v[i]
-                basis[i], v = v, [(a - q * b) % f for a, b, f in zip(basis[i], v, facs)]
-    for j in range(n):
-        for i in range(j):
-            q = basis[i][j] // basis[j][j]
-            basis[i] = [a - q * b for a, b in zip(basis[i], basis[j])]
-    hnf = tuple(tuple(row) for row in basis)
+    w = [[f if j == i else 0 for j in range(n)] for i, f in enumerate(facs)]
+    w += [list(g.coords) for g in generators]
+    _hermite(w, len(w), n)
+    hnf = tuple(tuple(row) for row in w[:n])
     cofactors = [_cofactor_row(facs, hnf[i:]) for i in range(n)]
     return Subgroup(group, generators, _structure(cofactors, {}), hnf)
 

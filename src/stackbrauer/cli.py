@@ -42,15 +42,20 @@ class UsageError(ValueError):
     """Bad literal or flag combination; maps to exit code 2."""
 
 
+def _parse_rows(text: str, bad: str) -> list[tuple[int, ...]]:
+    """Parse ``"1,0;0,2"`` into rows; ``bad`` formats the error for a row that fails."""
+    rows = []
+    for chunk in text.split(";"):
+        try:
+            rows.append(tuple(int(p) for p in chunk.split(",")))
+        except ValueError as exc:
+            raise UsageError(bad.format(chunk)) from exc
+    return rows
+
+
 def parse_matrix(text: str) -> IntegerMatrix:
     """Parse ``"2,-1;-1,2"`` into an IntegerMatrix (rows ; entries ,)."""
-    rows = []
-    for chunk in str(text).split(";"):
-        entries = [p.strip() for p in chunk.split(",")]
-        try:
-            rows.append([int(p) for p in entries])
-        except ValueError as exc:
-            raise UsageError(f"matrix row {chunk!r} contains a non-integer entry") from exc
+    rows = _parse_rows(str(text), "matrix row {!r} contains a non-integer entry")
     try:
         return IntegerMatrix(rows)
     except ValueError as exc:
@@ -59,16 +64,8 @@ def parse_matrix(text: str) -> IntegerMatrix:
 
 def _parse_generators(text: str) -> tuple[tuple[int, ...], ...]:
     """Parse ``"1,0;0,2"`` into generator coordinate tuples."""
-    if not text:
-        return ()
-    gens = []
-    for chunk in text.split(";"):
-        parts = [p.strip() for p in chunk.split(",")]
-        try:
-            gens.append(tuple(int(p) for p in parts))
-        except ValueError as exc:
-            raise UsageError(f"generator {chunk!r} contains a non-integer coordinate") from exc
-    return tuple(gens)
+    bad = "generator {!r} contains a non-integer coordinate"
+    return tuple(_parse_rows(text, bad)) if text else ()
 
 
 def _build_spec(args) -> SemisimpleGroupSpec:

@@ -6,8 +6,9 @@ characteristic zero is ``G~ / B`` for the simply connected cover ``G~``
 facts used here:
 
 * the center of a simply connected simple group is the cokernel of the
-  transpose weight/root inclusion, i.e. of its Cartan matrix (Smith normal
-  form does the bookkeeping), and centers of products are direct sums;
+  transpose weight/root inclusion, i.e. of its Cartan matrix; it is read
+  from the classical table (Bourbaki, *Lie Groups*, VI, plates I-IX), and
+  centers of products are direct sums;
 
 * the Brauer group of the classifying stack ``BG`` is the character group
   ``X(B)`` of the kernel ``B``: every gerbe class on ``BG`` is the lift
@@ -25,14 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
 from .abelian import (
     FiniteAbelianGroup,
     GroupElement,
     IntegerMatrix,
     Subgroup,
-    _smith_sweep,
+    _cyclic_chain,
     dual_group,
     generated_subgroup,
 )
@@ -110,11 +110,18 @@ def _dynkin_edges(t: SimpleType) -> list[tuple[int, int]]:
     raise AssertionError(t)
 
 
-def _cartan_rows(t: SimpleType) -> list[list[int]]:
+def cartan_matrix(t: SimpleType) -> IntegerMatrix:
+    """Cartan matrix of a simple type, Bourbaki numbering.
+
+    >>> cartan_matrix(SimpleType("A", 2)).row_lists()
+    [[2, -1], [-1, 2]]
+    >>> cartan_matrix(SimpleType("G", 2)).row_lists()
+    [[2, -1], [-3, 2]]
+    """
     if t.family == "F":
-        return [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+        return IntegerMatrix([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
     if t.family == "G":
-        return [[2, -1], [-3, 2]]
+        return IntegerMatrix([[2, -1], [-3, 2]])
     n = t.rank
     m = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -127,18 +134,7 @@ def _cartan_rows(t: SimpleType) -> list[list[int]]:
     elif t.family == "C":
         # last simple root long: transpose of the B pattern
         m[n - 1][n - 2] = -2
-    return m
-
-
-def cartan_matrix(t: SimpleType) -> IntegerMatrix:
-    """Cartan matrix of a simple type, Bourbaki numbering.
-
-    >>> cartan_matrix(SimpleType("A", 2)).row_lists()
-    [[2, -1], [-1, 2]]
-    >>> cartan_matrix(SimpleType("G", 2)).row_lists()
-    [[2, -1], [-3, 2]]
-    """
-    return IntegerMatrix(_cartan_rows(t), cols=t.rank)
+    return IntegerMatrix(m)
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +150,17 @@ class Center:
 
     * per-factor coordinates: one residue per entry of ``moduli``, which is
       the concatenation, factor by factor, of the invariant factors of each
-      factor's Cartan cokernel (trivial factors contribute nothing);
+      factor's center as the classification table lists them (trivial
+      factors contribute nothing);
 
     * canonical coordinates of ``group``, the invariant-factor form of the
       whole direct sum.
 
     User input (generators of central subgroups) is in per-factor
     coordinates; everything downstream uses the canonical group.  The
-    gcd/lcm steps that :func:`center` records convert between the two.
+    gcd/lcm steps of :func:`~stackbrauer.abelian._cyclic_chain` convert
+    between the two; both coordinates are reduced after every step, so they
+    stay below the moduli however many steps there are.
     """
 
     factors: tuple[SimpleType, ...]
@@ -193,37 +192,24 @@ class Center:
         return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
 
-def center(factors) -> Center:
-    """Center of the simply connected group with the given simple factors.
+def _center_moduli(t: SimpleType) -> tuple[int, ...]:
+    """Invariant factors of the center of the simply connected group of type ``t``."""
+    if t.family == "A":
+        return (t.rank + 1,)
+    if t.family == "D":
+        return (4,) if t.rank % 2 else (2, 2)
+    if t.family in ("B", "C") or str(t) == "E7":
+        return (2,)
+    return (3,) if str(t) == "E6" else ()
 
-    One pass over the pairs ``i < j`` sorts ``moduli`` into a divisibility
-    chain (Newman, *Integral Matrices*, II): where ``m_i`` does not divide
-    ``m_j``, with ``g`` their gcd, ``m_i = a g``, ``m_j = b g`` and ``s a + t b = 1``,
-    the step ``(i, j, s, t, a, b, g)`` maps ``Z/m_i + Z/m_j`` onto ``Z/g + Z/(a m_j)``
-    by ``(x_i, x_j) -> (s x_i + t x_j, a x_j - b x_i)``; leading 1s are dropped.
-    :class:`Center` reduces both coordinates after every step, so they stay
-    below the moduli however many steps there are.
-    """
+
+def center(factors) -> Center:
+    """Center of the simply connected group with the given simple factors."""
     factors = tuple(factors)
-    moduli: list[int] = []
-    for t in factors:
-        if not isinstance(t, SimpleType):
-            raise TypeError("factors must be SimpleType instances")
-        d = _smith_sweep(_cartan_rows(t), t.rank, t.rank)
-        if 0 in d:
-            raise AssertionError(f"Cartan matrix of {t} is singular")
-        moduli.extend(x for x in d if x > 1)
-    chain, steps = list(moduli), []
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            if chain[j] % chain[i]:
-                g = gcd(chain[i], chain[j])
-                a, b = chain[i] // g, chain[j] // g
-                s = pow(a, -1, b)
-                steps.append((i, j, s, (1 - s * a) // b, a, b, g))
-                chain[i], chain[j] = g, a * chain[j]
-    group = FiniteAbelianGroup(tuple(m for m in chain if m > 1))
-    return Center(factors, tuple(moduli), group, tuple(steps))
+    if not all(isinstance(t, SimpleType) for t in factors):
+        raise TypeError("factors must be SimpleType instances")
+    moduli = tuple(m for t in factors for m in _center_moduli(t))
+    return Center(factors, moduli, *_cyclic_chain(moduli))
 
 
 def center_of_simply_connected(factors) -> FiniteAbelianGroup:
@@ -315,8 +301,11 @@ class SemisimpleGroupSpec:
             if isinstance(item, str):
                 factors.append(SimpleType.parse(item))
             else:
-                fam, rank = _array(item, "each non-name factor")
-                factors.append(SimpleType(str(fam), _exact_int(rank)))
+                pair = _array(item, "each non-name factor")
+                if len(pair) != 2:
+                    raise ValueError("each non-name factor must be a [family, rank] pair, "
+                                     f"got {pair!r}")
+                factors.append(SimpleType(str(pair[0]), _exact_int(pair[1])))
         gens = tuple(tuple(_exact_int(x) for x in _array(g, "each central generator"))
                      for g in _array(data.get("central_generators", []), "central_generators"))
         return cls(tuple(factors), gens)

@@ -152,6 +152,15 @@ class TestBrBgCommand:
         assert err.startswith("error: bad group spec: ") and err.count("\n") == 1
         assert f"{field} must be a JSON array" in err
 
+    @pytest.mark.parametrize("pair", ['[]', '["A"]', '["A", 3, 4]'],
+                             ids=["empty", "one", "three"])
+    def test_family_rank_pair_length_exits_2(self, capsys, pair):
+        spec = '{"factors": [%s]}' % pair
+        code, out, err = run_cli(capsys, "br-bg", "--spec", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad group spec: ") and err.count("\n") == 1
+        assert "each non-name factor must be a [family, rank] pair" in err
+
     def test_generator_arity_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "br-bg", "--type", "A1", "--center", "gens=1,0")
         assert code == 2 and "error:" in err

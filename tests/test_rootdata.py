@@ -2,22 +2,33 @@
 
 Cartan matrices for rank >= 2 are cross-checked against sympy's independent
 tables.  Rank-1 (``A1 = [[2]]``) is pinned by hand because sympy's table
-code cannot produce it.  Centers are cross-checked against the determinant
-of the Cartan matrix: the cokernel of a nonsingular integer matrix has
-order ``|det|``, so the center order must match it for every type.
+code cannot produce it.  Centers are read from the classification table;
+they are cross-checked against the determinant of the Cartan matrix (the
+cokernel of a nonsingular integer matrix has order ``|det|``) and against
+the Smith cokernel of the Cartan matrix itself, a route that shares nothing
+with the table.
 """
 
+import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stackbrauer
 import stackbrauer.abelian as abelian
 import stackbrauer.rootdata as rootdata
 from stackbrauer.abelian import (
     FiniteAbelianGroup,
+    IntegerMatrix,
+    cokernel,
     dual_group,
     enumerate_subgroups,
     generated_subgroup,
@@ -175,6 +186,24 @@ class TestCenter:
                 got = center_of_simply_connected([SimpleType(family, n)]).invariant_factors
                 assert got == want(n), (family, n)
 
+    def test_table_matches_cartan_cokernel(self):
+        # The Smith route on the Cartan matrix shares no code with the table.
+        ranks = [*range(1, 41), *range(116, 131)]
+        types = [SimpleType(f, n) for f in "ABCD" for n in ranks
+                 if n >= rootdata._RANK_RULES[f][0]]
+        types += [SimpleType.parse(n) for n in ["E6", "E7", "E8", "F4", "G2"]]
+        for t in types:
+            assert center_of_simply_connected([t]) == cokernel(cartan_matrix(t))[0], t
+
+    def test_center_needs_no_smith_sweep(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the center is read from the table")
+
+        monkeypatch.setattr(abelian, "_smith_sweep", refuse)
+        assert not hasattr(rootdata, "_smith_sweep")
+        factors = [SimpleType.parse(n) for n in ["A3", "D4", "A2", "A5", "E6", "E8"]]
+        assert center(factors).group.invariant_factors == (2, 6, 6, 12)
+
     def test_factors_must_be_simple_types(self):
         with pytest.raises(TypeError):
             center(["A1"])
@@ -186,6 +215,15 @@ class TestCenter:
             c = center([SimpleType.parse(n) for n in names])
             for x in c.group.elements():
                 assert c.element(c.per_factor_coords(x)) == x
+
+    @pytest.mark.parametrize("names", [["A1", "A2", "A3", "A5"], ["A5", "A3", "A2"]])
+    def test_per_factor_coords_invert_element_on_every_residue(self, names):
+        # Both chains take steps with b > 1, where per_factor_coords must
+        # reduce the first coordinate modulo a*g and not a multiple of it.
+        c = center([SimpleType.parse(n) for n in names])
+        assert any(step[5] > 1 for step in c._steps)
+        for v in itertools.product(*(range(m) for m in c.moduli)):
+            assert c.per_factor_coords(c.element(v)) == v
 
     def test_per_factor_coords_reduce_arbitrary_representatives(self):
         rng = random.Random(RNG_SEED)
@@ -258,6 +296,39 @@ def test_center_element_is_isomorphism(names, data):
     assert generated_subgroup(c.group, images).order() == c.group.order()
 
 
+def test_from_cyclic_moduli_matches_diagonal_cokernel():
+    # The gcd/lcm chain against the Smith sweep on diag(m), with 1s and repeats.
+    rng = random.Random(RNG_SEED)
+    for _ in range(300):
+        moduli = [rng.choice([1, 1, 2, 2, 3, 4, 6, 8, 9, 12, 30, rng.randint(1, 500)])
+                  for _ in range(rng.randint(0, 8))]
+        expected = cokernel(IntegerMatrix.diagonal(moduli))[0]
+        assert FiniteAbelianGroup.from_cyclic_moduli(moduli) == expected, moduli
+
+
+class TestHighRankCli:
+    """Centers of rank-10^5 types, answered by the CLI in a fresh process
+    capped at 2 GB of address space, where a dense Cartan matrix would not
+    fit; the timeout turns a slow answer into a failure."""
+
+    TIMEOUT_S = 1.0
+    LIMIT = 2 << 30
+
+    @pytest.mark.parametrize("types, answer", [
+        ("A100000", "Z/100001"),
+        ("D200000", "Z/2 x Z/2"),
+        ("E8,A99999", "Z/100000"),
+    ])
+    def test_br_bg_answers(self, types, answer):
+        env = dict(os.environ, PYTHONPATH=str(Path(stackbrauer.__file__).resolve().parents[1]))
+        argv = [sys.executable, "-m", "stackbrauer.cli", "br-bg", "--type", types]
+        cap = (self.LIMIT, self.LIMIT)
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                              timeout=self.TIMEOUT_S,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, answer + "\n", "")
+
+
 # ---------------------------------------------------------------------------
 # group specifications
 # ---------------------------------------------------------------------------
@@ -303,6 +374,12 @@ class TestSemisimpleGroupSpec:
             {"factors": [["A", 3], ["D", 4]], "central_generators": [[2, 1, 0]]}
         )
         assert pairs == spec
+
+    def test_family_rank_pair_length_checked(self):
+        message = r"each non-name factor must be a \[family, rank\] pair"
+        for pair in [[], ["A"], ["A", 3, 4]]:
+            with pytest.raises(ValueError, match=message):
+                SemisimpleGroupSpec.from_json({"factors": [pair]})
 
     def test_str_forms(self):
         sc = SemisimpleGroupSpec.simply_connected([SimpleType("A", 1)])
