@@ -253,10 +253,11 @@ def _smith_sweep(w: list[list[int]], rows: int, cols: int) -> tuple[int, ...]:
     chain ``d[i] | d[i+1]``.  A unit pivot divides every entry, so it skips
     that scan.
 
-    It also finishes a Hermite normal form: :func:`smith_normal_form` runs
-    it on ``[H | U]`` after :func:`_hermite`.  On a generic square ``H`` is
-    the identity but for its last column, so every pivot is a unit on the
-    diagonal and the sweep is one column step per entry of that column.
+    It also finishes a Hermite normal form: after :func:`_hermite`,
+    :func:`smith_normal_form` runs it on ``[H | U]`` and :func:`cokernel`
+    on ``H``.  On a generic square ``H`` is the identity but for its last
+    column, so every pivot is a unit on the diagonal and the sweep is one
+    column step per entry of that column.
     """
     limit, border = min(rows, cols), w[rows:]
     for t in range(limit):
@@ -408,9 +409,6 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     mostly stay within twice the bit length of ``|det A|`` and have stayed
     within three times.  The sweep alone grew ``V`` to 21,280 bits on such
     an 80x80 matrix, whose ``|det A|`` has 585.
-    :func:`cokernel` runs the sweep alone and without the border: it builds
-    no transform, and the Hermite form of a Cartan matrix fills in its last
-    column, so there the phase costs more than it saves.
 
     >>> smith_normal_form(IntegerMatrix([[2, -1], [-1, 2]])).d
     (1, 3)
@@ -618,12 +616,15 @@ def cokernel(a: IntegerMatrix) -> tuple[FiniteAbelianGroup, int]:
     Returns ``(torsion, free_rank)``: the finite part in invariant-factor
     form (diagonal entries equal to 1 are dropped) and the rank of the free
     part (zero diagonal entries plus the row surplus when ``rows > cols``).
-    The Smith sweep runs on the rows of ``a`` alone: no transform is built.
+    It runs the two phases of :func:`smith_normal_form` on the rows of ``a``
+    alone, with no border: no transform is built.
 
     >>> cokernel(IntegerMatrix([[2, -1], [-1, 2]]))[0].invariant_factors
     (3,)
     """
-    d = _smith_sweep(a.row_lists(), a.rows, a.cols)
+    w = a.row_lists()
+    _hermite(w, a.rows, a.cols)
+    d = _smith_sweep(w, a.rows, a.cols)
     torsion = tuple(x for x in d if x > 1)
     free_rank = sum(1 for x in d if x == 0) + max(0, a.rows - a.cols)
     return FiniteAbelianGroup(torsion), free_rank
@@ -641,13 +642,13 @@ class Subgroup:
     ``hnf`` is the upper-triangular row Hermite normal form ``H`` of the
     lattice ``diag(f) Z^n <= L <= Z^n``: each pivot ``h_ii`` divides ``f_i``
     and each entry above a pivot ``h_jj`` lies in ``[0, h_jj)``.  ``H`` is
-    unique, so subgroups are equal exactly when ambient and ``hnf`` agree,
-    whatever their ``generators``.  ``structure`` is the cokernel of
-    ``diag(f) H^-1``.  ``elements``, sorted by coordinates, is built lazily.
+    unique, so it is the subgroup: subgroups are equal exactly when ambient
+    and ``hnf`` agree.  ``structure`` is the cokernel of ``diag(f) H^-1``.
+    ``generators`` and ``elements`` (sorted by coordinates) are derived from
+    ``H`` when first read.
     """
 
     ambient: FiniteAbelianGroup
-    generators: tuple[GroupElement, ...] = field(compare=False)
     structure: FiniteAbelianGroup = field(compare=False)
     hnf: tuple[tuple[int, ...], ...]
 
@@ -666,6 +667,13 @@ class Subgroup:
                 return False
             v = [a - q * b for a, b in zip(v, row)]
         return True
+
+    @cached_property
+    def generators(self) -> tuple[GroupElement, ...]:
+        """The rows of ``hnf`` nonzero modulo ``f``."""
+        facs = self.ambient.invariant_factors
+        return tuple(GroupElement(self.ambient, row) for i, row in enumerate(self.hnf)
+                     if row[i] < facs[i])
 
     @cached_property
     def elements(self) -> tuple[GroupElement, ...]:
@@ -700,6 +708,7 @@ def _structure(cofactors, memo: dict) -> FiniteAbelianGroup:
     keep = [i for i, row in enumerate(cofactors) if row[i] != 1]
     rest = tuple(tuple(cofactors[k][j] for j in keep) for k in keep)
     if rest not in memo:
+        # X is upper triangular already, so it skips the Hermite phase of cokernel.
         d = _smith_sweep([list(row) for row in rest], len(keep), len(keep))
         memo[rest] = FiniteAbelianGroup(tuple(x for x in d if x > 1))
     return memo[rest]
@@ -710,6 +719,8 @@ def generated_subgroup(group: FiniteAbelianGroup, generators) -> Subgroup:
 
     ``hnf`` is the first ``n`` rows of the reduced row Hermite normal form of
     ``[diag(f); generators]`` (:func:`_hermite`); the rows below vanish.
+    The given generators are checked but not kept: ``generators`` of the
+    result are the rows of ``hnf`` nonzero modulo ``f``.
 
     >>> g = FiniteAbelianGroup((2, 4))
     >>> generated_subgroup(g, [g.element([1, 2])]).hnf
@@ -729,7 +740,7 @@ def generated_subgroup(group: FiniteAbelianGroup, generators) -> Subgroup:
     _hermite(w, len(w), n)
     hnf = tuple(tuple(row) for row in w[:n])
     cofactors = [_cofactor_row(facs, hnf[i:]) for i in range(n)]
-    return Subgroup(group, generators, _structure(cofactors, {}), hnf)
+    return Subgroup(group, _structure(cofactors, {}), hnf)
 
 
 def enumerate_subgroups(group: FiniteAbelianGroup,
@@ -743,11 +754,10 @@ def enumerate_subgroups(group: FiniteAbelianGroup,
     is linear in ``x_i = f_i / h``: one forward solve ``z`` with pivot 1 per
     tail serves every pivot, as ``h`` works exactly when ``z`` is integral
     and ``h`` divides ``gcd(z)``, and its row is then ``z / h``.  Distinct
-    forms are distinct subgroups.
-    The generators are the rows of ``H`` nonzero modulo ``f``; the result is
-    sorted by ``(order, hnf)``.  Raises ``ValueError`` when the group order
-    exceeds ``max_order``, and as soon as more than ``SUBGROUP_COUNT_BOUND``
-    forms are built (each extends to the rows above it, so counts only grow).
+    forms are distinct subgroups.  The result is sorted by ``(order, hnf)``.
+    Raises ``ValueError`` when the group order exceeds ``max_order``, and as
+    soon as more than ``SUBGROUP_COUNT_BOUND`` forms are built (each extends
+    to the rows above it, so counts only grow).
 
     >>> [s.order() for s in enumerate_subgroups(FiniteAbelianGroup((4,)))]
     [1, 2, 4]
@@ -777,8 +787,6 @@ def enumerate_subgroups(group: FiniteAbelianGroup,
         blocks = grown
 
     memo: dict = {}
-    subgroups = [Subgroup(group, tuple(GroupElement(group, row) for i, row in enumerate(hnf)
-                                       if row[i] < facs[i]), _structure(cofactors, memo), hnf)
-                 for hnf, cofactors in blocks]
+    subgroups = [Subgroup(group, _structure(cofactors, memo), hnf) for hnf, cofactors in blocks]
     subgroups.sort(key=lambda s: (s.order(), s.hnf))
     return subgroups

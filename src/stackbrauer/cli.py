@@ -82,22 +82,16 @@ def _build_spec(args) -> SemisimpleGroupSpec:
             raise UsageError(f"bad group spec: {exc}") from exc
     if args.type is None:
         raise UsageError("br-bg needs --type (or --spec)")
-    try:
-        factors = tuple(SimpleType.parse(t) for t in args.type.split(",") if t.strip())
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    factors = tuple(SimpleType.parse(t) for t in args.type.split(",") if t.strip())
     if not factors:
         raise UsageError("--type lists no factors")
     mode = args.center
-    try:
-        if mode == "full":
-            return SemisimpleGroupSpec.adjoint(factors)
-        if mode == "trivial":
-            return SemisimpleGroupSpec.simply_connected(factors)
-        if mode.startswith("gens="):
-            return SemisimpleGroupSpec(factors, _parse_generators(mode[len("gens="):]))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if mode == "full":
+        return SemisimpleGroupSpec.adjoint(factors)
+    if mode == "trivial":
+        return SemisimpleGroupSpec.simply_connected(factors)
+    if mode.startswith("gens="):
+        return SemisimpleGroupSpec(factors, _parse_generators(mode[len("gens="):]))
     raise UsageError(f"--center must be 'full', 'trivial' or 'gens=...', got {mode!r}")
 
 
@@ -177,10 +171,7 @@ def _cmd_inertia(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        datum = AdmissibleDatum.parse(args.datum)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    datum = AdmissibleDatum.parse(args.datum)
     try:
         report = sector_report(datum)
     except NonIntegralGenusError as exc:

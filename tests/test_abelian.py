@@ -9,6 +9,7 @@ closure and element-order counts written here, and Smith normal forms
 against determinantal divisors computed by permutation expansion.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -25,6 +26,7 @@ from stackbrauer.abelian import (
     GroupElement,
     GroupMismatchError,
     IntegerMatrix,
+    Subgroup,
     cokernel,
     dual_group,
     enumerate_subgroups,
@@ -396,6 +398,26 @@ class TestCokernel:
         assert len(subs) == oracle_subgroup_count((2, 12))
         assert all(s.structure.order() == s.order() for s in subs)
 
+    def test_agrees_with_smith_diagonal_beyond_5x5(self):
+        # Squares, 4:3 rectangles both ways and rank-deficient squares (a
+        # low-rank product, and two rows copied or negated) from 10 to 40;
+        # on a nonsingular square the Bareiss determinant checks the torsion.
+        rng = random.Random(RNG_SEED + 4)
+        for n in range(10, 41, 6):
+            k, r = 3 * n // 4, rng.randint(1, n - 1)
+            square = random_matrix(rng, n, n)
+            copied = random_matrix(rng, n, n).row_lists()
+            i, j, l = rng.sample(range(n), 3)
+            copied[i], copied[l] = copied[j], [-x for x in copied[j]]
+            for a in (square, random_matrix(rng, n, k), random_matrix(rng, k, n),
+                      random_matrix(rng, n, r, bound=4) @ random_matrix(rng, r, n, bound=4),
+                      IntegerMatrix(copied)):
+                d = smith_normal_form(a).d
+                assert cokernel(a) == (FiniteAbelianGroup(tuple(x for x in d if x > 1)),
+                                       d.count(0) + max(0, a.rows - a.cols)), (n, a.rows, a.cols)
+            torsion, free = cokernel(square)
+            assert free == 0 and prod(torsion.invariant_factors) == abs(square.det()) > 0, n
+
     def test_column_order_irrelevant(self):
         a = IntegerMatrix([[2, 0], [0, 3]])
         b = IntegerMatrix([[0, 2], [3, 0]])
@@ -544,8 +566,9 @@ class TestSubgroups:
         assert s.structure.invariant_factors == (2, 2)
 
     def test_listing_agrees_with_generated_subgroups(self):
-        # Each listed subgroup is rebuilt by row Euclid from its generators,
-        # and every cyclic subgroup, built the same way, is in the listing.
+        # Each listed subgroup is rebuilt by the Hermite phase from its
+        # generators, and every cyclic subgroup, built the same way, is in
+        # the listing.
         for facs in all_invariant_chains(64):
             group = FiniteAbelianGroup(facs)
             subs = enumerate_subgroups(group)
@@ -556,6 +579,31 @@ class TestSubgroups:
             for x in group.elements():
                 cyclic = generated_subgroup(group, [x])
                 assert listed[cyclic.hnf] == cyclic.structure, (facs, x.coords)
+
+    def test_subgroup_is_its_hermite_form(self):
+        assert [f.name for f in dataclasses.fields(Subgroup)] == ["ambient", "structure", "hnf"]
+        for facs in all_invariant_chains(64):
+            for s in enumerate_subgroups(FiniteAbelianGroup(facs)):
+                assert "generators" not in vars(s), facs
+                assert s.generators == hnf_generators(s)
+                assert "generators" in vars(s)
+
+    def test_generated_subgroup_keeps_no_input_generators(self):
+        g = FiniteAbelianGroup((2, 4))
+        x = g.element([1, 1])
+        one, two = generated_subgroup(g, [x]), generated_subgroup(g, [3 * x, 2 * x])
+        assert one == two and repr(one) == repr(two)
+        assert one.generators == two.generators == (g.element([1, 1]), g.element([0, 2]))
+
+    def test_generated_generators_are_hermite_rows(self):
+        rng = random.Random(RNG_SEED + 5)
+        for facs in all_invariant_chains(64):
+            group = FiniteAbelianGroup(facs)
+            for count in range(4):
+                gens = [group.element([rng.randrange(f) for f in facs]) for _ in range(count)]
+                s = generated_subgroup(group, gens)
+                assert s.generators == hnf_generators(s), (facs, gens)
+                assert generated_subgroup(group, s.generators).hnf == s.hnf
 
     def test_whole_group_and_trivial(self):
         g = FiniteAbelianGroup((2, 4))
@@ -600,6 +648,13 @@ class TestSubgroups:
         ]
         orders = [s.order() for s in a]
         assert orders == sorted(orders)
+
+
+def hnf_generators(s: Subgroup) -> tuple[GroupElement, ...]:
+    """The rows of ``s.hnf`` that are nonzero modulo the invariant factors."""
+    facs = s.ambient.invariant_factors
+    return tuple(s.ambient.element(row) for row in s.hnf
+                 if any(x % f for x, f in zip(row, facs)))
 
 
 def closure(facs, gens) -> list[tuple[int, ...]]:

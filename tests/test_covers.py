@@ -19,7 +19,7 @@ import subprocess
 import sys
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -479,6 +479,48 @@ class TestDecomposeInertia:
                             assert moved.brauer.class_nontrivial == r.brauer.class_nontrivial
                         images += 1
         assert images == 10762
+
+
+def harvey_signatures(g: int, n: int) -> set[tuple[int, ...]]:
+    """Period multisets of Z/N acting on a connected genus-g curve with a
+    genus-0 quotient, by Harvey's conditions (Quart. J. Math. Oxford 17,
+    1966), scanned over multisets of divisors of N.  At an integral genus,
+    Riemann-Hurwitz and the lcm conditions already imply r >= 3 and the
+    2-power parity rule; both are kept as Harvey states them."""
+    divisors = [m for m in range(2, n + 1) if n % m == 0]
+    budget = 2 * g - 2 + 2 * n  # Riemann-Hurwitz: sum of N - N/m_j
+    two = n & -n
+    out = set()
+    for r in range(3, 2 * budget // n + 1):
+        for periods in itertools.combinations_with_replacement(divisors, r):
+            if (sum(n - n // m for m in periods) == budget and lcm(*periods) == n
+                    and all(lcm(*periods[:j], *periods[j + 1:]) == n for j in range(r))
+                    and (n % 2 or sum(m % two == 0 for m in periods) % 2 == 0)):
+                out.add(periods)
+    return out
+
+
+class TestSectorGuards:
+    def test_harvey_signatures_of_connected_genus0_data(self):
+        nonempty = 0
+        for g in range(2, 11):
+            for n in range(2, 4 * g + 3):
+                got = {tuple(sorted(m for i, d in enumerate(a.branch_degrees, start=1)
+                                    for m in [n // gcd(i, n)] * d))
+                       for a in enumerate_admissible(g, n, quotient_genus=0)
+                       if connectedness_k(a) == 1}
+                assert got == harvey_signatures(g, n), (g, n)
+                nonempty += bool(got)
+        assert nonempty == 137  # of the 225 pairs
+
+    def test_wiman_bound_on_sectors(self):
+        # The sectors of M_g are the data with k = 1 or g' >= 1; Wiman's bound
+        # N <= 4g + 2 on a cyclic automorphism of a curve is attained.
+        for g in range(2, 9):
+            orders = [n for n in range(2, 84 * (g - 1) + 1)
+                      if any(connectedness_k(a) == 1 or a.quotient_genus >= 1
+                             for a in enumerate_admissible(g, n))]
+            assert max(orders) == 4 * g + 2, g
 
 
 def test_docstring_examples():
