@@ -689,38 +689,43 @@ class Subgroup:
 
 def _cofactor_row(facs: tuple[int, ...], rows) -> list[int] | None:
     """Row ``i`` of ``diag(f) H^-1`` from ``rows = H[i:]`` by forward substitution
-    on ``x H = f_i e_i``; ``None`` unless ``f_i e_i`` lies in the span of ``rows``."""
+    on ``x H = f_i e_i``, each sum running only over the entries of ``x`` nonzero
+    so far; ``None`` unless ``f_i e_i`` lies in the span of ``rows``."""
     n = len(facs)
     i = n - len(rows)
-    x = [0] * n
+    x, nonzero = [0] * n, []
     for j in range(i, n):
-        rest = facs[i] if j == i else -sum(x[k] * rows[k - i][j] for k in range(i, j))
+        rest = facs[i] if j == i else -sum(x[k] * rows[k - i][j] for k in nonzero)
         x[j], r = divmod(rest, rows[j - i][j])
         if r:
             return None
+        if x[j]:
+            nonzero.append(j)
     return x
 
 
-def _structure(cofactors, memo: dict) -> FiniteAbelianGroup:
-    """Cokernel of ``X = diag(f) H^-1``, cached in ``memo``.  A unit pivot
-    ``x_ii = 1`` means ``h_ii = f_i``, so row ``i`` of ``H`` is ``f_i e_i``,
-    row ``i`` of ``X`` is ``e_i`` and both its row and column are dropped."""
-    keep = [i for i, row in enumerate(cofactors) if row[i] != 1]
-    rest = tuple(tuple(cofactors[k][j] for j in keep) for k in keep)
-    if rest not in memo:
-        # X is upper triangular already, so it skips the Hermite phase of cokernel.
-        d = _smith_sweep([list(row) for row in rest], len(keep), len(keep))
-        memo[rest] = FiniteAbelianGroup(tuple(x for x in d if x > 1))
-    return memo[rest]
+def _structure(block: tuple[tuple[int, ...], ...], memo: dict) -> FiniteAbelianGroup:
+    """Cokernel of ``X = diag(f) H^-1``, cached in ``memo``, from ``block``: ``X``
+    without the row and column of each unit pivot (``x_ii = 1`` means ``h_ii = f_i``,
+    so row ``i`` of ``X`` is ``e_i``).  ``X`` is upper triangular: a block that is
+    diagonal goes straight to the gcd/lcm steps of :func:`_cyclic_chain`, any
+    other through :func:`_smith_sweep` first, with no Hermite phase."""
+    if block not in memo:
+        d = [row[k] for k, row in enumerate(block)]
+        if any(any(row[k + 1:]) for k, row in enumerate(block)):
+            d = _smith_sweep([list(row) for row in block], len(block), len(block))
+        memo[block] = _cyclic_chain(d)[0]
+    return memo[block]
 
 
 def generated_subgroup(group: FiniteAbelianGroup, generators) -> Subgroup:
     """Subgroup of ``group`` generated by the given elements.
 
     ``hnf`` is the first ``n`` rows of the reduced row Hermite normal form of
-    ``[diag(f); generators]`` (:func:`_hermite`); the rows below vanish.
-    The given generators are checked but not kept: ``generators`` of the
-    result are the rows of ``hnf`` nonzero modulo ``f``.
+    ``[diag(f); generators]`` (:func:`_hermite`); the rows below vanish, and
+    ``structure`` is read from the non-unit block of ``diag(f) H^-1``
+    (:func:`_structure`).  The given generators are checked but not kept:
+    ``generators`` of the result are the rows of ``hnf`` nonzero modulo ``f``.
 
     >>> g = FiniteAbelianGroup((2, 4))
     >>> generated_subgroup(g, [g.element([1, 2])]).hnf
@@ -739,8 +744,9 @@ def generated_subgroup(group: FiniteAbelianGroup, generators) -> Subgroup:
     w += [list(g.coords) for g in generators]
     _hermite(w, len(w), n)
     hnf = tuple(tuple(row) for row in w[:n])
-    cofactors = [_cofactor_row(facs, hnf[i:]) for i in range(n)]
-    return Subgroup(group, _structure(cofactors, {}), hnf)
+    keep = [i for i in range(n) if hnf[i][i] != facs[i]]
+    block = tuple(tuple(x[j] for j in keep) for x in (_cofactor_row(facs, hnf[i:]) for i in keep))
+    return Subgroup(group, _structure(block, {}), hnf)
 
 
 def enumerate_subgroups(group: FiniteAbelianGroup,
@@ -753,11 +759,13 @@ def enumerate_subgroups(group: FiniteAbelianGroup,
     ``diag(f) H^-1`` is integral.  That row solves ``x H = f_i e_i``, which
     is linear in ``x_i = f_i / h``: one forward solve ``z`` with pivot 1 per
     tail serves every pivot, as ``h`` works exactly when ``z`` is integral
-    and ``h`` divides ``gcd(z)``, and its row is then ``z / h``.  Distinct
-    forms are distinct subgroups.  The result is sorted by ``(order, hnf)``.
-    Raises ``ValueError`` when the group order exceeds ``max_order``, and as
-    soon as more than ``SUBGROUP_COUNT_BOUND`` forms are built (each extends
-    to the rows above it, so counts only grow).
+    and ``h`` divides ``gcd(z)``, and its row is then ``z / h``.  Each form
+    carries its block for :func:`_structure`: pivot ``h = f_i`` keeps it, and
+    any other puts ``z / h`` at ``i`` and the kept columns on top of it, over
+    a zero column.  Distinct forms are distinct subgroups.  The result is
+    sorted by ``(order, hnf)``.  Raises ``ValueError`` when the group order
+    exceeds ``max_order``, and as soon as more than ``SUBGROUP_COUNT_BOUND``
+    forms are built (each extends to the rows above it, so counts only grow).
 
     >>> [s.order() for s in enumerate_subgroups(FiniteAbelianGroup((4,)))]
     [1, 2, 4]
@@ -767,12 +775,13 @@ def enumerate_subgroups(group: FiniteAbelianGroup,
         raise ValueError(f"group order {order} exceeds subgroup enumeration bound {max_order}")
 
     facs = group.invariant_factors
-    # (H[i:], rows i.. of diag(f) H^-1) for every subgroup of Z/f_i x ... x Z/f_n
-    blocks = [((), ())]
+    # (H[i:], kept columns, non-unit block) for every subgroup of Z/f_i x ... x Z/f_n
+    blocks = [((), (), ())]
     for i in reversed(range(len(facs))):
         pivots = [h for h in range(1, facs[i] + 1) if facs[i] % h == 0]
         grown = []
-        for rows, cofactors in blocks:
+        for rows, keep, block in blocks:
+            cols, padded = (i,) + keep, tuple((0,) + row for row in block)
             for tail in itertools.product(*(range(row[j]) for j, row in enumerate(rows, i + 1))):
                 x = _cofactor_row(facs, ((0,) * i + (1,) + tail,) + rows)
                 if x is None:
@@ -780,13 +789,14 @@ def enumerate_subgroups(group: FiniteAbelianGroup,
                 g = gcd(*x)
                 for h in pivots:
                     if g % h == 0:
-                        grown.append((((0,) * i + (h,) + tail,) + rows,
-                                      (tuple(v // h for v in x),) + cofactors))
+                        hnf = ((0,) * i + (h,) + tail,) + rows
+                        grown.append((hnf, keep, block) if h == facs[i] else
+                                     (hnf, cols, (tuple(x[j] // h for j in cols),) + padded))
                         if len(grown) > SUBGROUP_COUNT_BOUND:
                             raise ValueError(f"{group} has over {SUBGROUP_COUNT_BOUND} subgroups")
         blocks = grown
 
     memo: dict = {}
-    subgroups = [Subgroup(group, _structure(cofactors, memo), hnf) for hnf, cofactors in blocks]
+    subgroups = [Subgroup(group, _structure(block, memo), hnf) for hnf, _, block in blocks]
     subgroups.sort(key=lambda s: (s.order(), s.hnf))
     return subgroups

@@ -565,6 +565,21 @@ class TestSubgroups:
         s = generated_subgroup(g, [g.element([0, 2]), g.element([1, 0])])
         assert s.structure.invariant_factors == (2, 2)
 
+    def test_listed_structures_match_element_order_census(self):
+        # The census counts the orders of the listed elements, which come
+        # from the Hermite rows alone, and of the elements of the claimed
+        # structure; it shares nothing with the cokernel route.
+        census, checked = {}, 0
+        for facs in all_invariant_chains(64):
+            for s in enumerate_subgroups(FiniteAbelianGroup(facs)):
+                claimed = s.structure.invariant_factors
+                if claimed not in census:
+                    census[claimed] = order_counts(claimed, itertools.product(*map(range, claimed)))
+                assert census[claimed] == order_counts(facs, [e.coords for e in s.elements]), (
+                    facs, s.hnf)
+                checked += 1
+        assert checked > 6000
+
     def test_listing_agrees_with_generated_subgroups(self):
         # Each listed subgroup is rebuilt by the Hermite phase from its
         # generators, and every cyclic subgroup, built the same way, is in

@@ -307,9 +307,10 @@ def test_from_cyclic_moduli_matches_diagonal_cokernel():
 
 
 class TestHighRankCli:
-    """Centers of rank-10^5 types, answered by the CLI in a fresh process
-    capped at 2 GB of address space, where a dense Cartan matrix would not
-    fit; the timeout turns a slow answer into a failure."""
+    """Centers of rank-10^5 types and adjoint products of hundreds of
+    factors, answered by the CLI in a fresh process capped at 2 GB of
+    address space, where a dense Cartan matrix would not fit; the timeout
+    turns a slow answer into a failure."""
 
     TIMEOUT_S = 1.0
     LIMIT = 2 << 30
@@ -318,6 +319,8 @@ class TestHighRankCli:
         ("A100000", "Z/100001"),
         ("D200000", "Z/2 x Z/2"),
         ("E8,A99999", "Z/100000"),
+        pytest.param(",".join(["A1"] * 400), " x ".join(["Z/2"] * 400), id="A1^400"),
+        pytest.param(",".join(["D4"] * 200), " x ".join(["Z/2"] * 400), id="D4^200"),
     ])
     def test_br_bg_answers(self, types, answer):
         env = dict(os.environ, PYTHONPATH=str(Path(stackbrauer.__file__).resolve().parents[1]))
@@ -344,6 +347,16 @@ class TestSemisimpleGroupSpec:
         for name, factors in CENTER_TABLE:
             spec = SemisimpleGroupSpec.adjoint([SimpleType.parse(name)])
             assert fundamental_group(spec).invariant_factors == factors, name
+
+    def test_wide_adjoint_products_need_no_smith_sweep(self, monkeypatch):
+        # Their kernel is the whole center, whose cofactor block is diagonal.
+        def refuse(*args):
+            raise AssertionError("a diagonal block is read by gcd/lcm steps")
+
+        monkeypatch.setattr(abelian, "_smith_sweep", refuse)
+        for name, count in [("A1", 60), ("D4", 30)]:
+            spec = SemisimpleGroupSpec.adjoint([SimpleType.parse(name)] * count)
+            assert brauer_group_of_bg(spec) == FiniteAbelianGroup((2,) * 60), name
 
     def test_generator_arity_validated(self):
         with pytest.raises(ValueError):
