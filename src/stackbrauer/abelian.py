@@ -60,13 +60,24 @@ class GroupMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _exact_ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, each an ``int`` and none a ``bool``: the one rule
+    for integer input.  Anything else raises ``ValueError`` naming ``what``."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        for x in values:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"{what} {x!r} is not an integer")
+    return values
+
+
 class IntegerMatrix:
     """An immutable rows x cols matrix over the integers.
 
-    Entries are stored row-major as a tuple of Python ints, so all
-    arithmetic is exact at any magnitude.  Degenerate shapes (zero rows or
-    zero columns) are allowed; pass ``cols=`` when there are no rows to fix
-    the width.
+    Entries are stored as a tuple of row tuples of Python ints (checked by
+    :func:`_exact_ints`), so all arithmetic is exact at any magnitude.
+    Degenerate shapes (zero rows or zero columns) are allowed; pass
+    ``cols=`` when there are no rows to fix the width.
 
     >>> IntegerMatrix([[2, -1], [-1, 2]]).det()
     3
@@ -75,28 +86,13 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, entries, cols: int | None = None):
-        data = [list(row) for row in entries]
-        nrows = len(data)
-        if nrows == 0:
-            if cols is None:
-                cols = 0
-            ncols = cols
-        else:
-            ncols = len(data[0])
-            if cols is not None and cols != ncols:
-                raise ValueError(f"cols={cols} disagrees with row width {ncols}")
-        flat: list[int] = []
-        for row in data:
-            if len(row) != ncols:
-                raise ValueError("rows of unequal length")
-            if not set(map(type, row)) <= {int}:
-                for x in row:
-                    if not isinstance(x, int) or isinstance(x, bool):
-                        raise ValueError(f"matrix entry {x!r} is not an integer")
-            flat.extend(row)
-        self.rows = nrows
-        self.cols = ncols
-        self._entries = tuple(flat)
+        data = tuple(_exact_ints(row, "matrix entry") for row in entries)
+        ncols = len(data[0]) if data else cols or 0
+        if cols is not None and cols != ncols:
+            raise ValueError(f"cols={cols} disagrees with row width {ncols}")
+        if any(len(row) != ncols for row in data):
+            raise ValueError("rows of unequal length")
+        self.rows, self.cols, self._entries = len(data), ncols, data
 
     # -- construction helpers -------------------------------------------
 
@@ -120,11 +116,10 @@ class IntegerMatrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"index {key} out of range for {self.rows}x{self.cols}")
-        return self._entries[i * self.cols + j]
+        return self._entries[i][j]
 
     def row_lists(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self._entries[i * c : (i + 1) * c]) for i in range(self.rows)]
+        return [list(row) for row in self._entries]
 
     @property
     def is_square(self) -> bool:
@@ -135,13 +130,13 @@ class IntegerMatrix:
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        a, b = self.row_lists(), other.row_lists()
+        a, b = self._entries, other._entries
         out = [[sum(a[i][k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
                for i in range(self.rows)]
         return IntegerMatrix(out, cols=other.cols)
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix([[self[i, j] for i in range(self.rows)] for j in range(self.cols)],
+        return IntegerMatrix([[row[j] for row in self._entries] for j in range(self.cols)],
                              cols=self.rows)
 
     def det(self) -> int:
@@ -186,7 +181,7 @@ class IntegerMatrix:
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
             return f"<empty {self.rows}x{self.cols}>"
-        text = [[str(x) for x in row] for row in self.row_lists()]
+        text = [[str(x) for x in row] for row in self._entries]
         widths = [max(len(text[i][j]) for i in range(self.rows)) for j in range(self.cols)]
         return "\n".join(
             "[" + "  ".join(t.rjust(w) for t, w in zip(row, widths)) + "]" for row in text
@@ -321,11 +316,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, s, t) if a >= 0 else (-a, -s, -t)
 
 
-def _reduce(row: list[int], pivots: dict[int, list[int]], columns, hi: int) -> None:
-    """Reduce ``row`` in place: its entry in each pivot column of ``columns``,
-    taken in increasing order, goes into ``[0, p)`` by that column's pivot
-    row.  Pivot row ``k`` is zero left of ``k`` and both rows are zero from
-    ``hi`` on, so each step runs over ``[k, hi)``."""
+def _reduce(row: list[int], pivots, columns, hi: int) -> None:
+    """Reduce ``row`` in place: its entry in each pivot column ``k`` of
+    ``columns``, taken in increasing order, goes into ``[0, p)`` by the pivot
+    row ``pivots[k]``.  Pivot row ``k`` is zero left of ``k`` and both rows
+    are zero from ``hi`` on, so each step runs over ``[k, hi)``."""
     for k in columns:
         top = pivots[k]
         q = row[k] // top[k]
@@ -435,8 +430,8 @@ class FiniteAbelianGroup:
 
     ``invariant_factors`` is the ascending divisibility chain
     ``(f1, ..., fk)`` with ``f1 | f2 | ... | fk`` and every ``fi >= 2``;
-    the empty tuple is the trivial group.  Elements are residue tuples,
-    coordinate ``i`` taken modulo ``fi``.
+    the empty tuple is the trivial group, and every ``fi`` must be an ``int``.
+    Elements are residue tuples, coordinate ``i`` taken modulo ``fi``.
 
     >>> str(FiniteAbelianGroup((2, 4)))
     'Z/2 x Z/4'
@@ -445,7 +440,7 @@ class FiniteAbelianGroup:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        facs = tuple(int(f) for f in self.invariant_factors)
+        facs = _exact_ints(self.invariant_factors, "invariant factor")
         object.__setattr__(self, "invariant_factors", facs)
         for f in facs:
             if f < 2:
@@ -464,7 +459,7 @@ class FiniteAbelianGroup:
         >>> FiniteAbelianGroup.from_cyclic_moduli([2, 3]).invariant_factors
         (6,)
         """
-        moduli = [int(m) for m in moduli]
+        moduli = _exact_ints(moduli, "cyclic modulus")
         if any(m < 1 for m in moduli):
             raise ValueError("cyclic moduli must be positive integers")
         return _cyclic_chain(moduli)[0]
@@ -499,7 +494,7 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_json(cls, data) -> "FiniteAbelianGroup":
-        return cls(tuple(int(x) for x in data))
+        return cls(data)
 
     def __str__(self) -> str:
         if self.is_trivial:
@@ -552,13 +547,9 @@ class GroupElement:
 
     def __post_init__(self) -> None:
         facs = self.group.invariant_factors
-        raw = tuple(self.coords)
+        raw = _exact_ints(self.coords, "coordinate")
         if len(raw) != len(facs):
             raise ValueError(f"expected {len(facs)} coordinates, got {len(raw)}")
-        if not set(map(type, raw)) <= {int}:
-            for x in raw:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError(f"coordinate {x!r} is not an integer")
         object.__setattr__(self, "coords", tuple(x % f for x, f in zip(raw, facs)))
 
     def _check(self, other: "GroupElement") -> None:
@@ -581,8 +572,7 @@ class GroupElement:
         return self + (-other)
 
     def __rmul__(self, n: int) -> "GroupElement":
-        if not isinstance(n, int) or isinstance(n, bool):
-            return NotImplemented
+        (n,) = _exact_ints((n,), "multiplier")
         return GroupElement(self.group, tuple(n * a for a in self.coords))
 
     @property
@@ -598,8 +588,7 @@ class GroupElement:
 
     @classmethod
     def from_json(cls, data) -> "GroupElement":
-        return cls(FiniteAbelianGroup.from_json(data["group"]),
-                   tuple(int(x) for x in data["coords"]))
+        return cls(FiniteAbelianGroup.from_json(data["group"]), data["coords"])
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
@@ -657,16 +646,12 @@ class Subgroup:
         return prod(f // row[i] for i, (row, f) in enumerate(zip(self.hnf, facs)))
 
     def __contains__(self, x: GroupElement) -> bool:
-        """Triangular reduction of ``x`` by the rows of ``hnf``."""
+        """Triangular reduction of ``x`` by the rows of ``hnf`` (:func:`_reduce`)."""
         if not isinstance(x, GroupElement) or x.group != self.ambient:
             return False
-        v = list(x.coords)
-        for i, row in enumerate(self.hnf):
-            q, r = divmod(v[i], row[i])
-            if r:
-                return False
-            v = [a - q * b for a, b in zip(v, row)]
-        return True
+        v, n = list(x.coords), len(self.hnf)
+        _reduce(v, self.hnf, range(n), n)
+        return not any(v)
 
     @cached_property
     def generators(self) -> tuple[GroupElement, ...]:

@@ -29,7 +29,7 @@ here read them from its ``brauer`` field.  The layering is
 
 from __future__ import annotations
 
-from .abelian import FiniteAbelianGroup, GroupElement
+from .abelian import FiniteAbelianGroup, GroupElement, _exact_ints
 from .covers import ORDER_TWO, AdmissibleDatum, BrauerReport, sector_report
 
 __all__ = [
@@ -93,7 +93,7 @@ def symmetric_power_class(degree: int) -> GroupElement:
     Lives in ``Z/2`` and equals ``d mod 2``; additivity in ``d`` is what
     makes the sector parity law a finite computation.
     """
-    degree = int(degree)
+    (degree,) = _exact_ints((degree,), "symmetric power degree")
     if degree < 0:
         raise ValueError(f"symmetric power degree {degree} is negative")
     return GroupElement(ORDER_TWO, (degree % 2,))
@@ -123,7 +123,7 @@ def pushforward_class(chis, exponents) -> GroupElement:
     (1,)
     """
     chis = list(chis)
-    exponents = [int(e) for e in exponents]
+    exponents = _exact_ints(exponents, "exponent")
     if len(chis) != len(exponents):
         raise ValueError(
             f"{len(chis)} characters but {len(exponents)} exponents; lists must align"

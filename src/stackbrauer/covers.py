@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .abelian import FiniteAbelianGroup, GroupElement
+from .abelian import FiniteAbelianGroup, GroupElement, _exact_ints
 
 __all__ = [
     "AdmissibleDatum",
@@ -92,9 +92,10 @@ class NonIntegralGenusError(ValueError):
 class AdmissibleDatum:
     """A candidate cover datum ``(g', N, d1..d_{N-1})``.
 
-    Construction checks only shape (``g' >= 0``, ``N >= 2``, exactly
-    ``N - 1`` nonnegative branch degrees); admissibility for a target genus
-    is a separate question answered by :func:`is_admissible`.
+    Construction checks only that every entry is an ``int`` and the shape
+    (``g' >= 0``, ``N >= 2``, exactly ``N - 1`` nonnegative branch degrees);
+    admissibility for a target genus is a separate question answered by
+    :func:`is_admissible`.
     """
 
     quotient_genus: int
@@ -102,11 +103,8 @@ class AdmissibleDatum:
     branch_degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        gq = int(self.quotient_genus)
-        n = int(self.order)
-        degs = tuple(map(int, self.branch_degrees))
-        object.__setattr__(self, "quotient_genus", gq)
-        object.__setattr__(self, "order", n)
+        gq, n = _exact_ints((self.quotient_genus, self.order), "datum entry")
+        degs = _exact_ints(self.branch_degrees, "branch degree")
         object.__setattr__(self, "branch_degrees", degs)
         if gq < 0:
             raise ValueError(f"quotient genus {gq} is negative")
@@ -155,7 +153,7 @@ class AdmissibleDatum:
 
     @classmethod
     def from_json(cls, data) -> "AdmissibleDatum":
-        return cls(int(data["gq"]), int(data["N"]), tuple(int(x) for x in data["d"]))
+        return cls(data["gq"], data["N"], data["d"])
 
     def __str__(self) -> str:
         degs = ", ".join(str(d) for d in self.branch_degrees)
@@ -189,7 +187,7 @@ class Admissibility:
         return self.ok
 
 
-def _verdict(a: AdmissibleDatum, g: int, genus: Fraction) -> Admissibility:
+def _reasons(a: AdmissibleDatum, g: int, genus: Fraction) -> tuple[str, ...]:
     """Every failed condition of ``a`` against target genus ``g``, in order.
 
     ``genus`` is ``total_genus(a)``, passed in so that each caller computes
@@ -208,7 +206,7 @@ def _verdict(a: AdmissibleDatum, g: int, genus: Fraction) -> Admissibility:
         reasons.append(REASON_STRUCTURAL_EQUATION)
     if a.quotient_genus > max(g, 0):
         reasons.append(REASON_QUOTIENT_GENUS_TOO_LARGE)
-    return Admissibility(not reasons, tuple(reasons), genus)
+    return tuple(reasons)
 
 
 def is_admissible(a: AdmissibleDatum, g: int) -> Admissibility:
@@ -221,10 +219,12 @@ def is_admissible(a: AdmissibleDatum, g: int) -> Admissibility:
     >>> is_admissible(AdmissibleDatum(0, 2, (5,)), 2).reasons
     ('non_integral_genus', 'structural_equation')
     """
-    g = int(g)
+    (g,) = _exact_ints((g,), "target genus")
     if g < 2:
         raise ValueError(f"target genus {g} < 2; only genus >= 2 is classified")
-    return _verdict(a, g, total_genus(a))
+    genus = total_genus(a)
+    reasons = _reasons(a, g, genus)
+    return Admissibility(not reasons, reasons, genus)
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -342,13 +342,12 @@ def enumerate_admissible(g: int, n: int,
     >>> [str(a) for a in enumerate_admissible(2, 2)]
     ["(g'=0, N=2, d=[6])", "(g'=1, N=2, d=[2])"]
     """
-    g = int(g)
-    n = int(n)
+    g, n = _exact_ints((g, n), "target genus or cover order")
     if g < 2:
         raise ValueError(f"target genus {g} < 2; only genus >= 2 is classified")
     if n < 2:
         raise ValueError(f"cover order {n} must be at least 2")
-    if quotient_genus is not None and quotient_genus < 0:
+    if quotient_genus is not None and _exact_ints((quotient_genus,), "quotient genus")[0] < 0:
         raise ValueError("quotient genus filter must be nonnegative")
 
     roots = [(gq, 2 * g - 2 - n * (2 * gq - 2)) for gq in range((g - 1) // n + 2)
@@ -439,26 +438,15 @@ class SectorReport:
     brauer: Optional[BrauerReport]
 
     def to_json(self) -> dict:
-        out = self.datum.to_json()
-        out.update(
-            {
-                "total_genus": self.total_genus,
-                "admissible": self.admissible,
-                "reasons": list(self.reasons),
-                "gcd_k": self.gcd_k,
-                "connected": self.connected,
-                "brauer": self.brauer.to_json() if self.brauer is not None else None,
-            }
-        )
-        return out
-
-
-def _connect_verdict(a: AdmissibleDatum, k: int) -> str:
-    if k == 1:
-        # the datum's structure isomorphism trivializes the order-k bundle,
-        # so every cover is connected regardless of the base genus
-        return CONNECTED
-    return DISCONNECTED if a.quotient_genus == 0 else UNDETERMINED
+        return {
+            **self.datum.to_json(),
+            "total_genus": self.total_genus,
+            "admissible": self.admissible,
+            "reasons": list(self.reasons),
+            "gcd_k": self.gcd_k,
+            "connected": self.connected,
+            "brauer": self.brauer.to_json() if self.brauer is not None else None,
+        }
 
 
 def sector_report(a: AdmissibleDatum, genus: Optional[int] = None) -> SectorReport:
@@ -473,20 +461,29 @@ def sector_report(a: AdmissibleDatum, genus: Optional[int] = None) -> SectorRepo
     if genus is None:
         if genus_fraction.denominator != 1:
             raise NonIntegralGenusError(a, genus_fraction)
-        genus = int(genus_fraction)
-    return _report(a, genus, _verdict(a, genus, genus_fraction))
+        genus = genus_fraction.numerator
+    else:
+        (genus,) = _exact_ints((genus,), "genus")
+    return _report(a, genus, _reasons(a, genus, genus_fraction))
 
 
-def _report(a: AdmissibleDatum, genus: int, verdict: Admissibility) -> SectorReport:
+def _report(a: AdmissibleDatum, genus: int, reasons: tuple[str, ...] = ()) -> SectorReport:
+    """The report of ``a`` at ``genus``, admissible exactly when ``reasons`` is empty."""
     k = connectedness_k(a)
+    if k == 1:
+        # the datum's structure isomorphism trivializes the order-k bundle,
+        # so every cover is connected regardless of the base genus
+        connected = CONNECTED
+    else:
+        connected = DISCONNECTED if a.quotient_genus == 0 else UNDETERMINED
     return SectorReport(
         datum=a,
         total_genus=genus,
-        admissible=verdict.ok,
-        reasons=verdict.reasons,
+        admissible=not reasons,
+        reasons=reasons,
         gcd_k=k,
-        connected=_connect_verdict(a, k),
-        brauer=_parity_report(a) if (verdict.ok and a.quotient_genus == 0) else None,
+        connected=connected,
+        brauer=_parity_report(a) if not reasons and a.quotient_genus == 0 else None,
     )
 
 
@@ -496,7 +493,4 @@ def decompose_inertia(g: int, n: int) -> list[SectorReport]:
     Same deterministic order as :func:`enumerate_admissible`.  The listing
     may legitimately be empty (no sector for that ``(g, N)``).
     """
-    data = enumerate_admissible(g, n)
-    # every datum listed is admissible for g: one verdict serves all
-    verdict = Admissibility(True, (), Fraction(int(g)))
-    return [_report(a, g, verdict) for a in data]
+    return [_report(a, g) for a in enumerate_admissible(g, n)]

@@ -33,6 +33,7 @@ from .abelian import (
     IntegerMatrix,
     Subgroup,
     _cyclic_chain,
+    _exact_ints,
     dual_group,
     generated_subgroup,
 )
@@ -72,7 +73,7 @@ class SimpleType:
     def __post_init__(self) -> None:
         fam = str(self.family).upper()
         object.__setattr__(self, "family", fam)
-        object.__setattr__(self, "rank", int(self.rank))
+        _exact_ints((self.rank,), "rank")
         if fam not in _RANK_RULES:
             raise ValueError(f"unknown family {fam!r}; expected one of A B C D E F G")
         lo, hi = _RANK_RULES[fam]
@@ -170,7 +171,7 @@ class Center:
 
     def element(self, per_factor_coords) -> GroupElement:
         """Canonical element from per-factor coordinates."""
-        x = [int(v) for v in per_factor_coords]
+        x = list(_exact_ints(per_factor_coords, "coordinate"))
         if len(x) != len(self.moduli):
             raise ValueError(f"expected {len(self.moduli)} per-factor coordinates, got {len(x)}")
         for i, j, s, t, a, b, g in self._steps:
@@ -226,12 +227,6 @@ def center_of_simply_connected(factors) -> FiniteAbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-def _exact_int(x) -> int:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError(f"{x!r} is not an integer")
-    return x
-
-
 def _array(x, name: str) -> list:
     if not isinstance(x, list):
         raise ValueError(f"{name} must be a JSON array, got {type(x).__name__}")
@@ -244,8 +239,9 @@ class SemisimpleGroupSpec:
 
     ``factors`` are the simple factors of the simply connected cover;
     ``central_generators`` generate the central kernel ``B``, each given in
-    the per-factor coordinates of :class:`Center` (arbitrary integer
-    representatives are accepted and reduced).  No generators means the
+    the per-factor coordinates of :class:`Center` (arbitrary ``int``
+    representatives are accepted and reduced; any other coordinate, a
+    ``bool`` included, raises ``ValueError``).  No generators means the
     trivial kernel, i.e. ``G`` simply connected.
     """
 
@@ -254,7 +250,7 @@ class SemisimpleGroupSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
-        gens = tuple(tuple(int(x) for x in g) for g in self.central_generators)
+        gens = tuple(_exact_ints(g, "coordinate") for g in self.central_generators)
         object.__setattr__(self, "central_generators", gens)
         width = len(self.center.moduli)
         for g in gens:
@@ -290,9 +286,9 @@ class SemisimpleGroupSpec:
         """Parse ``{"factors": [...], "central_generators": [[...], ...]}``.
 
         Factor entries may be names (``"A3"``) or family/rank pairs
-        (``["A", 3]``).  Raises ``ValueError`` unless ``data`` is a dict, both
-        fields and each pair and generator are lists, and every rank and
-        coordinate is an ``int`` (a ``bool`` is not).
+        (``["A", 3]``).  Raises ``ValueError`` unless ``data`` is a dict and
+        both fields and each pair and generator are lists; the constructors
+        reject every rank and coordinate that is not an ``int``.
         """
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")
@@ -305,8 +301,8 @@ class SemisimpleGroupSpec:
                 if len(pair) != 2:
                     raise ValueError("each non-name factor must be a [family, rank] pair, "
                                      f"got {pair!r}")
-                factors.append(SimpleType(str(pair[0]), _exact_int(pair[1])))
-        gens = tuple(tuple(_exact_int(x) for x in _array(g, "each central generator"))
+                factors.append(SimpleType(str(pair[0]), pair[1]))
+        gens = tuple(_array(g, "each central generator")
                      for g in _array(data.get("central_generators", []), "central_generators"))
         return cls(tuple(factors), gens)
 

@@ -65,3 +65,20 @@ def test_runtime_imports_only_the_standard_library():
             outside += [f"{name}:{node.lineno} {top}" for top in tops
                         if top not in sys.stdlib_module_names]
     assert outside == []
+
+
+def bool_checks(tree: ast.AST) -> list[ast.Call]:
+    """The ``isinstance(..., bool)`` calls under ``tree``."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1]))]
+
+
+def test_one_function_decides_what_an_integer_is():
+    """Only ``abelian._exact_ints`` tests for ``bool``; every other module
+    checks integer input through it, as the import graph keeps layers apart."""
+    holders = [f"{name}.{fn.name}" for name, tree in TREES.items() for fn in ast.walk(tree)
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and bool_checks(fn)]
+    assert holders == ["abelian._exact_ints"]
+    assert sum(len(bool_checks(tree)) for tree in TREES.values()) == 1
